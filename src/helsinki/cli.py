@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import analysis, loops, prob
-from .model import FLAVORS, HiddenState
+from .model import FLAVORS, HiddenState, check_flavor
 from .render import FORMATS, render
 from .solver import complete, count_completions
 from .structure import (
@@ -37,14 +37,17 @@ class CommandResult:
 
 
 def _flavor(text: str) -> str:
-    if text not in FLAVORS:
-        raise argparse.ArgumentTypeError(f"expected one of {', '.join(FLAVORS)}, got {text!r}")
-    return text
+    try:
+        return check_flavor(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _channel(text: str) -> str:
-    if len(text) != 3 or any(c not in FLAVORS for c in text):
-        raise argparse.ArgumentTypeError(f"expected 3 flavor characters, got {text!r}")
+    try:
+        loops.parse_channel(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return text
 
 
@@ -66,9 +69,7 @@ def _parse_assignments(pairs: Optional[list[str]]) -> dict[str, str]:
         edge, sep, flavor = item.partition("=")
         if not sep or not edge:
             raise ValueError(f"--assign expects EDGE=FLAVOR, got {item!r}")
-        if flavor not in FLAVORS:
-            raise ValueError(f"--assign {item!r}: unknown flavor {flavor!r}")
-        out[edge] = flavor
+        out[edge] = check_flavor(flavor)
     return out
 
 

@@ -17,6 +17,8 @@ from .structure import (
     PRODUCTION,
     PORTS,
     Scenario,
+    node_depths,
+    node_order,
     validate_topology,
 )
 
@@ -53,26 +55,6 @@ def _edge_tag(scenario: Scenario, eid: str, assignment: Assignment) -> str:
     return f"[{label}]"
 
 
-def _node_tiers(scenario: Scenario) -> list[list[str]]:
-    """Nodes grouped by longest-path depth from the past side."""
-    struct = scenario.structure
-    preds: dict[str, list[str]] = {nid: [] for nid in struct.nodes}
-    for src, dst, _ in struct.internal_adjacencies():
-        preds[dst].append(src)
-
-    depth: dict[str, int] = {}
-
-    def level(nid: str) -> int:
-        if nid not in depth:
-            depth[nid] = 1 + max((level(p) for p in preds[nid]), default=0)
-        return depth[nid]
-
-    tiers: dict[int, list[str]] = {}
-    for nid in sorted(struct.nodes):
-        tiers.setdefault(level(nid), []).append(nid)
-    return [tiers[d] for d in sorted(tiers)]
-
-
 def _render_ascii(scenario: Scenario, assignment: Assignment) -> str:
     struct = scenario.structure
     lines = [f"scenario: {len(struct.nodes)} nodes, {len(struct.edges)} edges"]
@@ -80,10 +62,17 @@ def _render_ascii(scenario: Scenario, assignment: Assignment) -> str:
     future = [e for e in struct.edge_ids() if struct.edges[e].target.is_terminal]
     past = [e for e in struct.edge_ids() if struct.edges[e].source.is_terminal]
 
+    # nodes grouped by longest-path depth from the past side; depths run
+    # 1..max with no gaps, so a depth is also its tier number
+    walk = node_order(struct)
+    tiers: dict[int, list[str]] = {}
+    for nid, depth in sorted(node_depths(walk).items()):
+        tiers.setdefault(depth, []).append(nid)
+
     lines.append("future : " + "  ".join(_edge_tag(scenario, e, assignment) for e in future))
-    for number, tier in reversed(list(enumerate(_node_tiers(scenario), start=1))):
-        for nid in tier:
-            ports = struct.incident_edges(nid)
+    for number in sorted(tiers, reverse=True):
+        for nid in tiers[number]:
+            ports = walk.ports[nid]
             kind = struct.nodes[nid]
             cells = [f"tier {number} : {nid} <{kind}>"]
             for port in PORTS[kind]:

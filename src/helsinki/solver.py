@@ -14,8 +14,10 @@ nodes. Solutions are reported in a canonical order: sorted by the tuple of
 flavors read along ascending edge ids. Empty solution lists are ordinary
 results, never errors.
 
-Structures are assumed to satisfy `validate_topology`; builders and the
-file parser only ever hand over valid ones.
+The search plan is built from `structure.node_order`, the same walk that
+validation and rendering read. Structures are assumed to satisfy
+`validate_topology`; builders and the file parser only ever hand over
+valid ones.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import FLAVORS, PRODUCTION, annihilation_output, node_admissible, production_completions
-from .structure import Structure
+from .structure import IN_PORTS, OUT_PORTS, Structure, node_order
 
 Assignment = dict[str, str]
 
@@ -83,62 +85,25 @@ class _NodeStep:
     earlier_neighbors: list[str]
 
 
-def _plan(structure: Structure) -> tuple[list[object], list[str]]:
-    """Compile the visit order: free past-side edges interleaved with nodes
-    in a deterministic topological order, dangling edges last."""
-    sorted_edges = structure.edge_ids()
-
-    ports: dict[str, dict[str, str]] = {nid: {} for nid in structure.nodes}
-    dangling: list[str] = []
-    for eid in sorted_edges:
-        edge = structure.edges[eid]
-        node_touched = False
-        for ep in (edge.source, edge.target):
-            if not ep.is_terminal and ep.node in ports:
-                ports[ep.node][ep.port] = eid
-                node_touched = True
-        if not node_touched:
-            dangling.append(eid)
-
-    indeg = {nid: 0 for nid in structure.nodes}
-    succ: dict[str, list[str]] = {nid: [] for nid in structure.nodes}
-    neighbors: dict[str, set[str]] = {nid: set() for nid in structure.nodes}
-    for src, dst, _ in structure.internal_adjacencies():
-        succ[src].append(dst)
-        indeg[dst] += 1
-        neighbors[src].add(dst)
-        neighbors[dst].add(src)
-
-    order: list[str] = []
-    ready = sorted(nid for nid, d in indeg.items() if d == 0)
-    while ready:
-        nid = ready.pop(0)
-        order.append(nid)
-        for nxt in sorted(succ[nid]):
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                # keep the ready queue sorted for deterministic order
-                ready.append(nxt)
-                ready.sort()
-    if len(order) != len(structure.nodes):
+def _plan(structure: Structure) -> list[object]:
+    """Compile the visit order from `node_order`: free past-side edges
+    interleaved with nodes in topological order, loose edges last."""
+    walk = node_order(structure)
+    if walk.stuck:
         raise ValueError("structure contains a directed cycle; validate it first")
 
-    position = {nid: i for i, nid in enumerate(order)}
     steps: list[object] = []
-    scheduled: set[str] = set()
-    for nid in order:
-        port_map = ports[nid]
-        in_edges = [port_map[p] for p in ("in1", "in2") if p in port_map]
-        out_edges = [port_map[p] for p in ("out1", "out2") if p in port_map]
-        for eid in in_edges:
-            # inputs fed from a past terminal are free choice points
-            if structure.edges[eid].source.is_terminal and eid not in scheduled:
-                steps.append(eid)
-                scheduled.add(eid)
-        earlier = sorted(n for n in neighbors[nid] if position[n] < position[nid])
-        steps.append(_NodeStep(nid, structure.nodes[nid], in_edges, out_edges, earlier))
-    steps.extend(dangling)
-    return steps, sorted_edges
+    for nid in walk.order:
+        port_map = walk.ports[nid]
+        in_edges = [port_map[p] for p in IN_PORTS if p in port_map]
+        out_edges = [port_map[p] for p in OUT_PORTS if p in port_map]
+        # inputs fed from a past terminal are free choice points
+        steps += [eid for eid in in_edges if structure.edges[eid].source.is_terminal]
+        # in a topological order the only linked nodes already visited are
+        # the predecessors
+        steps.append(_NodeStep(nid, structure.nodes[nid], in_edges, out_edges, sorted(set(walk.preds[nid]))))
+    steps.extend(walk.loose)
+    return steps
 
 
 def _search(
@@ -148,7 +113,7 @@ def _search(
     collect: bool = True,
 ) -> tuple[list[Assignment], int, int]:
     _check_partial(structure, partial)
-    steps, _ = _plan(structure)
+    steps = _plan(structure)
 
     values: Assignment = {}
     homogeneous: dict[str, bool] = {}

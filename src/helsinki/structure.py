@@ -12,9 +12,10 @@ no function here mutates its inputs.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import ANNIHILATION, FLAVORS, NODE_KINDS, PRODUCTION
 
@@ -95,17 +96,20 @@ class Endpoint:
         if not isinstance(obj, dict):
             raise ParseError(f"{where}: endpoint must be an object, got {type(obj).__name__}")
         keys = set(obj)
-        if keys == {"node", "port"}:
+        if keys not in ({"node", "port"}, {"terminal", "side"}):
+            raise ParseError(
+                f"{where}: endpoint needs keys node/port or terminal/side, got {sorted(keys)}"
+            )
+        for key in sorted(keys):
+            if not isinstance(obj[key], str):
+                raise ParseError(f"{where}.{key}: must be a string, got {type(obj[key]).__name__}")
+        if "port" in keys:
             if obj["port"] not in _MIRROR_PORT:
                 raise ParseError(f"{where}: unknown port {obj['port']!r}")
-            return Endpoint.at_port(str(obj["node"]), obj["port"])
-        if keys == {"terminal", "side"}:
-            if obj["side"] not in (PAST, FUTURE):
-                raise ParseError(f"{where}: side must be '{PAST}' or '{FUTURE}', got {obj['side']!r}")
-            return Endpoint.at_terminal(str(obj["terminal"]), obj["side"])
-        raise ParseError(
-            f"{where}: endpoint needs keys node/port or terminal/side, got {sorted(keys)}"
-        )
+            return Endpoint.at_port(obj["node"], obj["port"])
+        if obj["side"] not in (PAST, FUTURE):
+            raise ParseError(f"{where}: side must be '{PAST}' or '{FUTURE}', got {obj['side']!r}")
+        return Endpoint.at_terminal(obj["terminal"], obj["side"])
 
 
 @dataclass
@@ -149,6 +153,69 @@ class Structure:
             if not edge.source.is_terminal and not edge.target.is_terminal:
                 out.append((edge.source.node, edge.target.node, eid))
         return out
+
+
+class NodeOrder(NamedTuple):
+    """Port table, predecessors and topological order of a structure."""
+
+    #: node -> port -> edge id
+    ports: dict[str, dict[str, str]]
+    #: node -> source node of each internal edge entering it
+    preds: dict[str, list[str]]
+    #: topological order; among ready nodes the least id goes first (Kahn)
+    order: list[str]
+    #: sorted nodes left off `order` because a directed cycle feeds them
+    stuck: list[str]
+    #: sorted edges that touch no node
+    loose: list[str]
+
+
+def node_order(structure: Structure) -> NodeOrder:
+    """The one walk over a structure's graph, in one pass over its sorted
+    edges; validation, the solver plan, path depth and rendering all read it.
+
+    Endpoints naming missing nodes are skipped, so it is safe to build on a
+    structure that does not validate.
+    """
+    ports: dict[str, dict[str, str]] = {nid: {} for nid in structure.nodes}
+    preds: dict[str, list[str]] = {nid: [] for nid in structure.nodes}
+    succ: dict[str, list[str]] = {nid: [] for nid in structure.nodes}
+    loose: list[str] = []
+    for eid in structure.edge_ids():
+        edge = structure.edges[eid]
+        linked = []
+        for ep in (edge.source, edge.target):
+            if not ep.is_terminal and ep.node in ports:
+                ports[ep.node][ep.port] = eid
+                linked.append(ep.node)
+        if not linked:
+            loose.append(eid)
+        elif len(linked) == 2:
+            src, dst = linked
+            preds[dst].append(src)
+            succ[src].append(dst)
+
+    indeg = {nid: len(p) for nid, p in preds.items()}
+    ready = [nid for nid, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    order: list[str] = []
+    while ready:
+        nid = heapq.heappop(ready)
+        order.append(nid)
+        for nxt in succ[nid]:
+            indeg[nxt] -= 1
+            if indeg[nxt] == 0:
+                heapq.heappush(ready, nxt)
+    stuck = sorted(nid for nid, d in indeg.items() if d > 0)
+    return NodeOrder(ports, preds, order, stuck, loose)
+
+
+def node_depths(walk: NodeOrder) -> dict[str, int]:
+    """Node count of the longest directed path ending at each ordered node."""
+    depth: dict[str, int] = {}
+    for nid in walk.order:
+        depth[nid] = 1 + max((depth[p] for p in walk.preds[nid]), default=0)
+    return depth
 
 
 def validate_topology(structure: Structure) -> list[Violation]:
@@ -216,24 +283,8 @@ def validate_topology(structure: Structure) -> list[Violation]:
                     Violation("alternation", eid, f"links two {structure.nodes[src]} nodes ({src} -> {dst})")
                 )
 
-    # acyclicity over the node graph (Kahn)
-    indeg = {nid: 0 for nid in structure.nodes}
-    succ: dict[str, list[str]] = {nid: [] for nid in structure.nodes}
-    for src, dst, _ in structure.internal_adjacencies():
-        if src in indeg and dst in indeg:
-            succ[src].append(dst)
-            indeg[dst] += 1
-    ready = sorted(nid for nid, d in indeg.items() if d == 0)
-    seen = 0
-    while ready:
-        nid = ready.pop(0)
-        seen += 1
-        for nxt in succ[nid]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-    if seen != len(structure.nodes):
-        stuck = sorted(nid for nid, d in indeg.items() if d > 0)
+    stuck = node_order(structure).stuck
+    if stuck:
         violations.append(Violation("cycle", ",".join(stuck), "directed cycle through these nodes"))
 
     return violations
@@ -466,15 +517,4 @@ def parse_scenario(text: str) -> Scenario:
 
 def longest_node_path(structure: Structure) -> int:
     """Node count of the longest directed path through internal edges."""
-    succ: dict[str, list[str]] = {nid: [] for nid in structure.nodes}
-    for src, dst, _ in structure.internal_adjacencies():
-        succ[src].append(dst)
-
-    best: dict[str, int] = {}
-
-    def depth(nid: str) -> int:
-        if nid not in best:
-            best[nid] = 1 + max((depth(n) for n in succ[nid]), default=0)
-        return best[nid]
-
-    return max((depth(nid) for nid in structure.nodes), default=0)
+    return max(node_depths(node_order(structure)).values(), default=0)

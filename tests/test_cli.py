@@ -225,6 +225,10 @@ def test_render_chain_builder():
     assert '"prod.2"' in result.payload["diagram"]
 
 
+def test_render_deep_chain_builder():
+    assert run(["render", "--builder", "chain:1000"]).exit_code == 0
+
+
 def test_render_structure_file(cell_file):
     result = run(["render", "--structure", cell_file, "--format", "ascii"])
     assert result.exit_code == 0
@@ -252,6 +256,16 @@ def test_bad_assign_is_usage_error(cell_file):
 
 def test_missing_file_is_usage_error(tmp_path):
     assert run(["solve", "--structure", str(tmp_path / "nope.json")]).exit_code == 2
+
+
+def test_non_string_port_is_usage_error(tmp_path, capsys):
+    doc = json.loads(serialize_scenario(build_h_cell()))
+    doc["edges"]["c_in"]["to"]["port"] = ["in1"]
+    path = tmp_path / "list_port.json"
+    path.write_text(json.dumps(doc))
+    assert run(["solve", "--structure", str(path)]).exit_code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_malformed_json_is_usage_error(tmp_path):

@@ -119,6 +119,16 @@ def test_complete_is_deterministic():
     assert first.explored == second.explored
 
 
+@pytest.mark.parametrize(
+    "partial, explored, solutions",
+    [({}, 92532, 28776), ({"h_left.2": "A", "l_out.3": "B"}, 17520, 3220)],
+)
+def test_chain_three_search_effort_is_pinned(partial, explored, solutions):
+    # the visit order decides `explored`; these figures pin it
+    result = complete(build_chain(3).structure, partial)
+    assert (result.explored, len(result.solutions)) == (explored, solutions)
+
+
 def test_count_empty_partial_cell():
     assert count_completions(CELL, {}) == 66
 

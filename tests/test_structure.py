@@ -86,6 +86,10 @@ def test_chain_three_longest_path():
     assert longest_node_path(build_chain(3).structure) == 6
 
 
+def test_longest_path_of_a_deep_chain():
+    assert longest_node_path(build_chain(1000).structure) == 2000
+
+
 def test_chain_rejects_zero():
     with pytest.raises(ValueError):
         build_chain(0)
@@ -155,7 +159,7 @@ def test_cycle_violation():
         "e4": Edge(Endpoint.at_port("p", "out2"), Endpoint.at_terminal("e4", FUTURE)),
     }
     violations = validate_topology(Structure(nodes, edges))
-    assert "cycle" in codes(violations)
+    assert [v.subject for v in violations if v.code == "cycle"] == ["a,p"]
 
 
 def test_unknown_node_violation():
@@ -246,6 +250,15 @@ def test_parse_rejects_bad_endpoint():
     text = json.dumps({"nodes": {}, "edges": {"e": {"from": {"oops": 1}, "to": {"oops": 2}}}})
     with pytest.raises(ParseError, match="endpoint"):
         parse_scenario(text)
+
+
+@pytest.mark.parametrize("bad", [["in1"], {"port": "in1"}, 1, None])
+@pytest.mark.parametrize("end, field", [("to", "node"), ("to", "port"), ("from", "terminal"), ("from", "side")])
+def test_parse_rejects_non_string_endpoint_fields(end, field, bad):
+    doc = json.loads(serialize_scenario(build_h_cell()))
+    doc["edges"]["c_in"][end][field] = bad
+    with pytest.raises(ParseError, match=field):
+        parse_scenario(json.dumps(doc))
 
 
 def test_parse_rejects_role_mismatch():
