@@ -2,8 +2,9 @@
 
 Every invocation produces a single structured document (printed as JSON
 with --output json, or as aligned text by default). Exit codes: 0 success,
-1 domain failure (empty support, structure validation, failed sweep), 2
-usage or parse error. Everything is deterministic; there is no seed flag.
+1 domain failure (empty support, structure validation, failed sweep) or an
+internal error (one `error: internal:` line, no traceback), 2 usage or
+parse error. Everything is deterministic; there is no seed flag.
 """
 
 from __future__ import annotations
@@ -476,6 +477,9 @@ def run(argv: list[str]) -> CommandResult:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CommandResult(2, None)
+    except Exception as exc:  # last resort: no input may end in a traceback
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return CommandResult(1, None)
 
     payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **body}
     if args.output == "json":

@@ -14,17 +14,22 @@ nodes. Solutions are reported in a canonical order: sorted by the tuple of
 flavors read along ascending edge ids. Empty solution lists are ordinary
 results, never errors.
 
-The search plan is built from `structure.node_order`, the same walk that
-validation and rendering read. Structures are assumed to satisfy
-`validate_topology`; builders and the file parser only ever hand over
-valid ones.
+Each structure object is compiled once, from `structure.node_order`, into
+a plan of integer steps over its sorted edges; the plan is memoized per
+object and dropped when the object is collected, so a structure must not
+be mutated after its first search. The search loops over the plan with
+an explicit stack of open branch points, so no recursion limit bounds its
+depth. `explored` counts the candidates a full search examines.
+Structures are assumed to satisfy `validate_topology`; builders and the
+file parser only ever hand over valid ones.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import FLAVORS, PRODUCTION, annihilation_output, node_admissible, production_completions
 from .structure import IN_PORTS, OUT_PORTS, Structure, node_order
@@ -36,8 +41,9 @@ Assignment = dict[str, str]
 class SolveResult:
     """Canonically ordered solutions plus a search-effort counter.
 
-    `explored` counts candidate branch choices examined during the search;
-    it is deterministic for a given structure and partial assignment.
+    `explored` counts the candidate values a full search examines: three
+    per free edge or production visited, one per pinned edge or
+    annihilation; it is deterministic for a given structure and partial.
     """
 
     solutions: list[Assignment]
@@ -76,34 +82,59 @@ def is_admissible(structure: Structure, assignment: Assignment) -> bool:
     return True
 
 
-@dataclass
-class _NodeStep:
-    node: str
-    kind: str
-    in_edges: list[str]
-    out_edges: list[str]
-    earlier_neighbors: list[str]
+_FREE, _PRODUCTION, _ANNIHILATION = 0, 1, 2
+#: production input -> (left, right, homogeneous) outputs, the homogeneous one last
+_SPLITS = {c: tuple((l, r, False) for l, r in production_completions(c) if l != r) + ((c, c, True),) for c in FLAVORS}
+#: annihilation input pair -> (output, homogeneous)
+_MERGES = {(a, b): (annihilation_output(a, b), a == b) for a in FLAVORS for b in FLAVORS}
 
 
-def _plan(structure: Structure) -> list[object]:
-    """Compile the visit order from `node_order`: free past-side edges
-    interleaved with nodes in topological order, loose edges last."""
+class _Plan(NamedTuple):
+    edge_ids: list[str]
+    index: dict[str, int]
+    #: (_FREE, edge) | (_PRODUCTION, node, in, out1, out2, pred) |
+    #: (_ANNIHILATION, node, in1, in2, out, pred1, pred2); pred -1 is none
+    steps: tuple[tuple[int, ...], ...]
+
+
+def _compile(structure: Structure) -> _Plan:
+    """Free past-side edges interleaved with nodes in topological order,
+    loose edges last, all as indices into the sorted edges and the order."""
     walk = node_order(structure)
     if walk.stuck:
         raise ValueError("structure contains a directed cycle; validate it first")
-
-    steps: list[object] = []
-    for nid in walk.order:
+    edge_ids = structure.edge_ids()
+    index = {eid: i for i, eid in enumerate(edge_ids)}
+    position = {nid: k for k, nid in enumerate(walk.order)}
+    steps: list[tuple[int, ...]] = []
+    for k, nid in enumerate(walk.order):
         port_map = walk.ports[nid]
-        in_edges = [port_map[p] for p in IN_PORTS if p in port_map]
-        out_edges = [port_map[p] for p in OUT_PORTS if p in port_map]
+        ins = [port_map[p] for p in IN_PORTS if p in port_map]
+        outs = [index[port_map[p]] for p in OUT_PORTS if p in port_map]
         # inputs fed from a past terminal are free choice points
-        steps += [eid for eid in in_edges if structure.edges[eid].source.is_terminal]
+        steps += [(_FREE, index[eid]) for eid in ins if structure.edges[eid].source.is_terminal]
         # in a topological order the only linked nodes already visited are
         # the predecessors
-        steps.append(_NodeStep(nid, structure.nodes[nid], in_edges, out_edges, sorted(set(walk.preds[nid]))))
-    steps.extend(walk.loose)
-    return steps
+        preds = [position[n] for n in sorted(set(walk.preds[nid]))] + [-1, -1]
+        if structure.nodes[nid] == PRODUCTION:
+            steps.append((_PRODUCTION, k, index[ins[0]], outs[0], outs[1], preds[0]))
+        else:
+            steps.append((_ANNIHILATION, k, index[ins[0]], index[ins[1]], outs[0], preds[0], preds[1]))
+    steps += [(_FREE, index[eid]) for eid in walk.loose]
+    return _Plan(edge_ids, index, tuple(steps))
+
+
+#: id(structure) -> its plan; the entry goes when the structure is
+#: collected, so a reused id never finds a stale plan
+_PLANS: dict[int, _Plan] = {}
+
+
+def _compiled(structure: Structure) -> _Plan:
+    plan = _PLANS.get(id(structure))
+    if plan is None:
+        plan = _PLANS[id(structure)] = _compile(structure)
+        weakref.finalize(structure, _PLANS.pop, id(structure), None)
+    return plan
 
 
 def _search(
@@ -113,84 +144,78 @@ def _search(
     collect: bool = True,
 ) -> tuple[list[Assignment], int, int]:
     _check_partial(structure, partial)
-    steps = _plan(structure)
+    edge_ids, index, steps = _compiled(structure)
+    end = len(steps)
+    pin: list[Optional[str]] = [None] * len(edge_ids)
+    for eid, flavor in partial.items():
+        pin[index[eid]] = flavor
+    values: list[Optional[str]] = [None] * len(pin)
+    homogeneous = [False] * (end + 1)  # [-1], no node, stays False
+    stack: list[tuple[int, tuple, int]] = []  # (step, its options, next to try)
+    solutions: list[tuple] = []
+    count = explored = i = 0
 
-    values: Assignment = {}
-    homogeneous: dict[str, bool] = {}
-    solutions: list[Assignment] = []
-    count = 0
-    explored = 0
-
-    def visit(i: int) -> bool:
-        """Returns False to stop the whole search (solution limit hit)."""
-        nonlocal count, explored
-        if i == len(steps):
+    while True:
+        if i == end:
             count += 1
             if collect:
-                solutions.append(dict(values))
-            return limit is None or count < limit
-
+                solutions.append(tuple(values))
+            if count == limit:
+                break
+        elif (step := steps[i])[0] == _FREE:
+            flavor = pin[step[1]]
+            if flavor is None:
+                explored += 3
+                stack.append((i, FLAVORS, 1))
+                flavor = FLAVORS[0]
+            else:
+                explored += 1
+            values[step[1]] = flavor
+            i += 1
+            continue
+        elif step[0] == _PRODUCTION:
+            _, node, center, left, right, pred = step
+            explored += 3
+            options = _SPLITS[values[center]]
+            if homogeneous[pred]:
+                options = options[:2]  # no homogeneous node next to another
+            if pin[left] is not None or pin[right] is not None:
+                options = tuple(o for o in options if pin[left] in (None, o[0]) and pin[right] in (None, o[1]))
+            if options:
+                if len(options) > 1:
+                    stack.append((i, options, 1))
+                values[left], values[right], homogeneous[node] = options[0]
+                i += 1
+                continue
+        else:
+            _, node, in1, in2, out, pred1, pred2 = step
+            explored += 1
+            flavor, hom = _MERGES[values[in1], values[in2]]
+            if pin[out] in (None, flavor) and not (hom and (homogeneous[pred1] or homogeneous[pred2])):
+                values[out], homogeneous[node] = flavor, hom
+                i += 1
+                continue
+        # a solution or a dead end: resume at the latest open branch point
+        if not stack:
+            break
+        i, options, k = stack.pop()
+        if k + 1 < len(options):
+            stack.append((i, options, k + 1))
         step = steps[i]
-        if isinstance(step, str):
-            pinned = partial.get(step)
-            for flavor in FLAVORS if pinned is None else (pinned,):
-                explored += 1
-                values[step] = flavor
-                if not visit(i + 1):
-                    return False
-            del values[step]
-            return True
+        if step[0] == _FREE:
+            values[step[1]] = options[k]
+        else:
+            values[step[3]], values[step[4]], homogeneous[step[1]] = options[k]
+        i += 1
 
-        node = step
-        if node.kind == PRODUCTION:
-            center = values[node.in_edges[0]]
-            left_edge, right_edge = node.out_edges
-            for left, right in production_completions(center):
-                explored += 1
-                if partial.get(left_edge, left) != left or partial.get(right_edge, right) != right:
-                    continue
-                hom = left == right == center
-                if hom and any(homogeneous[n] for n in node.earlier_neighbors):
-                    continue
-                values[left_edge] = left
-                values[right_edge] = right
-                homogeneous[node.node] = hom
-                if not visit(i + 1):
-                    return False
-            values.pop(left_edge, None)
-            values.pop(right_edge, None)
-            homogeneous.pop(node.node, None)
-            return True
-
-        in1, in2 = (values[e] for e in node.in_edges)
-        out = annihilation_output(in1, in2)
-        out_edge = node.out_edges[0]
-        explored += 1
-        if partial.get(out_edge, out) != out:
-            return True
-        hom = in1 == in2
-        if hom and any(homogeneous[n] for n in node.earlier_neighbors):
-            return True
-        values[out_edge] = out
-        homogeneous[node.node] = hom
-        keep_going = visit(i + 1)
-        del values[out_edge]
-        del homogeneous[node.node]
-        return keep_going
-
-    visit(0)
-    return solutions, count, explored
-
-
-def _canonical_key(structure: Structure, assignment: Assignment) -> tuple[str, ...]:
-    return tuple(assignment[eid] for eid in structure.edge_ids())
+    solutions.sort()
+    return [dict(zip(edge_ids, s)) for s in solutions], count, explored
 
 
 def complete(structure: Structure, partial: Assignment) -> SolveResult:
     """Every total admissible assignment extending `partial`, in canonical
     order. Exhaustive; an empty list means the inputs admit nothing."""
     solutions, _, explored = _search(structure, partial)
-    solutions.sort(key=lambda a: _canonical_key(structure, a))
     return SolveResult(solutions, explored)
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from helsinki import cli
 from helsinki.cli import run
 from helsinki.structure import build_h_cell, serialize_scenario
 
@@ -229,6 +230,21 @@ def test_render_deep_chain_builder():
     assert run(["render", "--builder", "chain:1000"]).exit_code == 0
 
 
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_solve_on_a_400_cell_file(tmp_path, capsys, chain_400_witness, output):
+    scenario, pins = chain_400_witness
+    path = tmp_path / "chain400.json"
+    path.write_text(serialize_scenario(scenario, pins))
+    result = run(["--output", output, "solve", "--structure", str(path)])
+    assert result.exit_code == 0
+    assert result.payload["count"] == len(result.payload["solutions"]) == 1
+    out = capsys.readouterr().out
+    if output == "json":
+        assert json.loads(out)["count"] == 1
+    else:
+        assert out.startswith("solutions: 1 ")
+
+
 def test_render_structure_file(cell_file):
     result = run(["render", "--structure", cell_file, "--format", "ascii"])
     assert result.exit_code == 0
@@ -287,6 +303,17 @@ def test_invalid_structure_is_domain_error(tmp_path):
 def test_render_chain_zero_is_usage_error():
     assert run(["render", "--builder", "chain:0"]).exit_code == 2
     assert run(["render", "--builder", "pyramid"]).exit_code == 2
+
+
+def test_unexpected_exception_is_a_one_line_internal_error(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "table", broken)
+    assert run(["table"]).exit_code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: internal: RuntimeError: boom\n"
+    assert captured.out == ""
 
 
 def test_help_exits_zero():

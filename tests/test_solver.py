@@ -1,8 +1,11 @@
+import functools
+import gc
 import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from helsinki import solver
 from helsinki.model import ALL_PERMUTATIONS, ANNIHILATION, FLAVORS, PRODUCTION, apply_permutation
 from helsinki.solver import (
     brute_force_complete,
@@ -129,6 +132,15 @@ def test_chain_three_search_effort_is_pinned(partial, explored, solutions):
     assert (result.explored, len(result.solutions)) == (explored, solutions)
 
 
+def test_has_completion_on_a_thousand_cells():
+    assert has_completion(build_chain(1000).structure, {})
+
+
+def test_count_on_400_cells_pinned_to_an_inhomogeneous_witness(chain_400_witness):
+    scenario, pins = chain_400_witness
+    assert count_completions(scenario.structure, pins) == 1
+
+
 def test_count_empty_partial_cell():
     assert count_completions(CELL, {}) == 66
 
@@ -193,6 +205,58 @@ def test_diamond_counts():
     assert count_completions(structure, {"c": "A"}) == 2
 
 
+def cyclic() -> Structure:
+    nodes = {"p": PRODUCTION, "a": ANNIHILATION}
+    edges = {
+        "e1": Edge(Endpoint.at_port("p", "out1"), Endpoint.at_port("a", "in1")),
+        "e2": Edge(Endpoint.at_port("a", "out1"), Endpoint.at_port("p", "in1")),
+        "e3": Edge(Endpoint.at_terminal("e3", PAST), Endpoint.at_port("a", "in2")),
+        "e4": Edge(Endpoint.at_port("p", "out2"), Endpoint.at_terminal("e4", FUTURE)),
+    }
+    return Structure(nodes, edges)
+
+
+# --- the per-structure plan memo ---
+
+
+def test_plan_memo_drops_collected_structures():
+    structure = build_chain(2).structure
+    key = id(structure)
+    assert has_completion(structure, {})
+    assert key in solver._PLANS
+    del structure
+    gc.collect()
+    assert key not in solver._PLANS
+
+
+@pytest.mark.parametrize("search", [complete, count_completions, has_completion])
+@pytest.mark.parametrize("partial", [{"ghost": "A"}, {"c_in": "X"}])
+def test_cached_plan_still_checks_the_partial(search, partial):
+    structure = build_chain(2).structure
+    search(structure, {})
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            search(structure, partial)
+
+
+@pytest.mark.parametrize("search", [complete, count_completions, has_completion])
+def test_cyclic_structure_raises_on_every_call(search):
+    structure = cyclic()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="cycle"):
+            search(structure, {})
+    assert id(structure) not in solver._PLANS
+
+
+def test_value_equal_structures_give_identical_results():
+    first, second = build_chain(2).structure, build_chain(2).structure
+    assert first == second and first is not second
+    for partial in ({}, {"c_in": "B", "l_out.2": "A"}):
+        a, b = complete(first, partial), complete(second, partial)
+        assert (a.solutions, a.explored) == (b.solutions, b.explored)
+        assert count_completions(first, partial) == count_completions(second, partial)
+
+
 def test_free_line_completions():
     structure = free_line().structure
     assert [a["w"] for a in complete(structure, {}).solutions] == ["A", "B", "C"]
@@ -229,3 +293,34 @@ def test_solutions_are_permutation_equivariant(partial, p):
 def test_every_solution_is_admissible(partial):
     for solution in complete(CELL, partial).solutions:
         assert is_admissible(CELL, solution)
+
+
+# --- search against the brute-force oracle on deeper structures ---
+
+ORACLE_STRUCTURES = {
+    "chain:1": build_chain(1).structure,
+    "chain:2": build_chain(2).structure,
+    "reversed chain:2": reverse_time(build_chain(2)).structure,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def all_admissible(name):
+    # one full scan per structure; filtering it by pins is the oracle's own
+    # filter, and a scan per example would take seconds
+    return brute_force_complete(ORACLE_STRUCTURES[name], {})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_STRUCTURES)), st.data())
+def test_search_matches_oracle_under_random_pins(name, data):
+    structure = ORACLE_STRUCTURES[name]
+    partial = data.draw(st.dictionaries(st.sampled_from(sorted(structure.edges)), st.sampled_from(FLAVORS)))
+    if name == "chain:1":
+        expected = brute_force_complete(structure, partial)
+    else:
+        expected = [a for a in all_admissible(name) if all(a[e] == v for e, v in partial.items())]
+    solutions = complete(structure, partial).solutions
+    assert solutions == expected
+    assert count_completions(structure, partial) == len(solutions)
+    assert has_completion(structure, partial) == bool(solutions)
