@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -62,6 +63,22 @@ def _hidden_text(h: HiddenState) -> str:
 
 def _rational(x: Fraction) -> str:
     return str(x)
+
+
+@contextmanager
+def _exact_digits():
+    """Lift the interpreter's int-to-text digit limit while a result is
+    written, so an exact count prints in full however long it is. The
+    limit guards the parsing of untrusted digits; it is restored on exit,
+    before any input is read again."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _parse_assignments(pairs: Optional[list[str]]) -> dict[str, str]:
@@ -338,7 +355,9 @@ def _cmd_solve(args) -> tuple[dict, list[str], int]:
     if args.count_only:
         count = count_completions(scenario.structure, assigned)
         body["count"] = count
-        return body, [f"count = {count}"], 0
+        with _exact_digits():
+            line = f"count = {count}"
+        return body, [line], 0
     result = complete(scenario.structure, assigned)
     body["count"] = len(result.solutions)
     body["explored"] = result.explored
@@ -483,7 +502,8 @@ def run(argv: list[str]) -> CommandResult:
 
     payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **body}
     if args.output == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        with _exact_digits():
+            print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in lines:
             print(line)

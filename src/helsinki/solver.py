@@ -1,4 +1,4 @@
-"""Exhaustive enumeration of admissible flavor assignments.
+"""Exhaustive enumeration and exact counting of admissible flavor assignments.
 
 Two routes live here on purpose. `complete` is the engine: a depth-first
 search that walks nodes in topological order and propagates forced values
@@ -17,19 +17,28 @@ results, never errors.
 Each structure object is compiled once, from `structure.node_order`, into
 a plan of integer steps over its sorted edges; the plan is memoized per
 object and dropped when the object is collected, so a structure must not
-be mutated after its first search. The search loops over the plan with
-an explicit stack of open branch points, so no recursion limit bounds its
-depth. `explored` counts the candidates a full search examines.
-Structures are assumed to satisfy `validate_topology`; builders and the
-file parser only ever hand over valid ones.
+be mutated after its first search. `complete` and `has_completion` loop
+over the plan depth-first with an explicit stack of open branch points,
+so no recursion limit bounds its depth; `explored` counts the candidates
+a full search examines. `count_completions` never enumerates: it is a
+frontier dynamic program over the plan's nodes (bucket elimination; a
+transfer matrix on chains), compiled on the first count into the same
+memo entry. It keeps, per frontier of values that link counted nodes to
+the rest, the number of partial assignments reaching it, so the count is
+exact and its time is linear in the number of nodes times the frontier
+size. Structures are assumed to satisfy `validate_topology`; builders
+and the file parser only ever hand over valid ones.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 import itertools
 import weakref
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from operator import itemgetter
+from typing import Callable, Collection, NamedTuple, Optional, Sequence
 
 from .model import FLAVORS, PRODUCTION, annihilation_output, node_admissible, production_completions
 from .structure import IN_PORTS, OUT_PORTS, Structure, node_order
@@ -51,9 +60,13 @@ class SolveResult:
 
 
 def _check_partial(structure: Structure, partial: Assignment) -> None:
-    unknown = sorted(set(partial) - set(structure.edges))
+    _reject(partial, set(partial) - set(structure.edges))
+
+
+def _reject(partial: Assignment, unknown: Collection[str]) -> None:
+    """Raise for a partial naming `unknown` edges or holding non-flavors."""
     if unknown:
-        raise ValueError(f"assignment mentions unknown edges: {', '.join(unknown)}")
+        raise ValueError(f"assignment mentions unknown edges: {', '.join(sorted(unknown))}")
     bad = sorted(v for v in partial.values() if v not in FLAVORS)
     if bad:
         raise ValueError(f"assignment contains non-flavor values: {', '.join(map(repr, bad))}")
@@ -89,12 +102,22 @@ _SPLITS = {c: tuple((l, r, False) for l, r in production_completions(c) if l != 
 _MERGES = {(a, b): (annihilation_output(a, b), a == b) for a in FLAVORS for b in FLAVORS}
 
 
-class _Plan(NamedTuple):
-    edge_ids: list[str]
-    index: dict[str, int]
-    #: (_FREE, edge) | (_PRODUCTION, node, in, out1, out2, pred) |
-    #: (_ANNIHILATION, node, in1, in2, out, pred1, pred2); pred -1 is none
-    steps: tuple[tuple[int, ...], ...]
+class _Plan:
+    # a plain class: a dataclass would add half a millisecond to every import
+    __slots__ = ("edge_ids", "index", "steps", "counter")
+
+    def __init__(self, edge_ids: list[str], index: dict[str, int], steps: tuple[tuple[int, ...], ...]) -> None:
+        self.edge_ids = edge_ids
+        self.index = index
+        #: (_FREE, edge) | (_PRODUCTION, node, in, out1, out2, pred) |
+        #: (_ANNIHILATION, node, in1, in2, out, pred1, pred2); pred -1 is none
+        self.steps = steps
+        #: the layout of `count_completions`, compiled on the first count:
+        #: per counted node, getters for the pins of its three edges, for
+        #: what it reads from (frontier + those pins) and for the next
+        #: frontier from (frontier + its filling); then the edges no node
+        #: reads, a factor of 3 each unless pinned
+        self.counter: Optional[tuple[tuple[tuple[Callable, ...], ...], tuple[int, ...]]] = None
 
 
 def _compile(structure: Structure) -> _Plan:
@@ -137,30 +160,32 @@ def _compiled(structure: Structure) -> _Plan:
     return plan
 
 
-def _search(
-    structure: Structure,
-    partial: Assignment,
-    limit: Optional[int] = None,
-    collect: bool = True,
-) -> tuple[list[Assignment], int, int]:
-    _check_partial(structure, partial)
-    edge_ids, index, steps = _compiled(structure)
-    end = len(steps)
-    pin: list[Optional[str]] = [None] * len(edge_ids)
+def _pins(plan: _Plan, partial: Assignment) -> list[Optional[str]]:
+    """The partial as a flavor (or None) per edge index, checked against
+    the plan's edge index."""
+    index = plan.index
+    _reject(partial, [eid for eid in partial if eid not in index])
+    pin: list[Optional[str]] = [None] * len(plan.edge_ids)
     for eid, flavor in partial.items():
         pin[index[eid]] = flavor
+    return pin
+
+
+def _search(plan: _Plan, pin: list[Optional[str]], limit: Optional[int] = None) -> tuple[list[tuple], int]:
+    """Depth-first over the plan: the solutions (flavor tuples in edge
+    order, unsorted, at most `limit`) and the candidates examined."""
+    steps = plan.steps
+    end = len(steps)
     values: list[Optional[str]] = [None] * len(pin)
     homogeneous = [False] * (end + 1)  # [-1], no node, stays False
     stack: list[tuple[int, tuple, int]] = []  # (step, its options, next to try)
     solutions: list[tuple] = []
-    count = explored = i = 0
+    explored = i = 0
 
     while True:
         if i == end:
-            count += 1
-            if collect:
-                solutions.append(tuple(values))
-            if count == limit:
+            solutions.append(tuple(values))
+            if len(solutions) == limit:
                 break
         elif (step := steps[i])[0] == _FREE:
             flavor = pin[step[1]]
@@ -208,27 +233,141 @@ def _search(
             values[step[3]], values[step[4]], homogeneous[step[1]] = options[k]
         i += 1
 
-    solutions.sort()
-    return [dict(zip(edge_ids, s)) for s in solutions], count, explored
+    return solutions, explored
 
 
 def complete(structure: Structure, partial: Assignment) -> SolveResult:
     """Every total admissible assignment extending `partial`, in canonical
     order. Exhaustive; an empty list means the inputs admit nothing."""
-    solutions, _, explored = _search(structure, partial)
-    return SolveResult(solutions, explored)
-
-
-def count_completions(structure: Structure, partial: Assignment) -> int:
-    """len(complete(...).solutions) without materializing the solutions."""
-    _, count, _ = _search(structure, partial, collect=False)
-    return count
+    plan = _compiled(structure)
+    solutions, explored = _search(plan, _pins(plan, partial))
+    solutions.sort()
+    return SolveResult([dict(zip(plan.edge_ids, s)) for s in solutions], explored)
 
 
 def has_completion(structure: Structure, partial: Assignment) -> bool:
     """Whether at least one admissible completion exists (early exit)."""
-    _, count, _ = _search(structure, partial, limit=1, collect=False)
-    return count > 0
+    plan = _compiled(structure)
+    solutions, _ = _search(plan, _pins(plan, partial), limit=1)
+    return bool(solutions)
+
+
+def _getter(indices: tuple[int, ...]) -> Callable[[Sequence], tuple]:
+    """The entries at `indices`, always as a tuple."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        return lambda values, i=indices[0]: (values[i],)
+    return lambda values: ()
+
+
+#: a node's admissible (flavor, flavor, flavor, homogeneous), in any port order
+_ALL_FILLINGS = tuple((*t, len(set(t)) == 1) for t in itertools.product(FLAVORS, repeat=3) if node_admissible(t))
+
+
+class _Fillings(dict):
+    """(known flavor or None per edge of a node, then the homogeneous flags
+    of its counted neighbours) -> the node's admissible fillings; each
+    entry is made on first use."""
+
+    def __missing__(self, key: tuple) -> tuple[tuple, ...]:
+        known, banned = key[:3], any(key[3:])
+        fillings = self[key] = tuple(
+            f for f in _ALL_FILLINGS if all(k in (None, v) for k, v in zip(known, f)) and not (banned and f[3])
+        )
+        return fillings
+
+
+_FILLINGS = _Fillings()
+
+
+def _narrow_order(edges: dict[int, tuple[int, ...]], touching: dict[int, list[int]]) -> list[int]:
+    """Nodes, each next the one with the most edges to counted nodes (ties
+    in plan order): a chain is counted cell by cell in either direction."""
+    links: dict[int, Optional[int]] = dict.fromkeys(edges, 0)
+    heap = [(0, k) for k in edges]
+    order: list[int] = []
+    while heap:
+        negative, k = heapq.heappop(heap)
+        if links[k] != -negative:
+            continue  # counted already, or a stale entry
+        links[k] = None
+        order.append(k)
+        for m in (m for e in edges[k] for m in touching[e] if links[m] is not None):
+            links[m] += 1
+            heapq.heappush(heap, (-links[m], m))
+    return order
+
+
+def _compile_counter(plan: _Plan) -> tuple[tuple[tuple[Callable, ...], ...], tuple[int, ...]]:
+    """The frontier layout for `count_completions`.
+
+    Nodes are counted one at a time; the frontier holds what links counted
+    nodes to uncounted ones: the flavor of each edge between them and the
+    homogeneous flag of each counted node with an uncounted neighbour. A
+    node reads its edges' flavors (from the frontier, else the pins) and
+    its counted neighbours' flags, appends a filling and projects onto
+    what stays live. The node rule and the ban are symmetric, so the order
+    need not be topological: it is chosen to keep the frontier narrow.
+    """
+    edges = {step[1]: step[2:5] for step in plan.steps if step[0] != _FREE}
+    touching: dict[int, list[int]] = {}
+    for k, incident in edges.items():
+        for e in incident:
+            touching.setdefault(e, []).append(k)
+    order = _narrow_order(edges, touching)
+    position = {k: s for s, k in enumerate(order)}
+    # a frontier value is an edge index, or ~k for node k's flag; the last
+    # step that reads it
+    last = {e: max(position[k] for k in ks) for e, ks in touching.items()}
+    last.update({~k: max(last[e] for e in incident) for k, incident in edges.items()})
+
+    getter = functools.lru_cache(maxsize=None)(_getter)  # the same few patterns repeat cell after cell
+    frontier: list[int] = []
+    steps = []
+    for s, k in enumerate(order):
+        incident = edges[k]
+        # (frontier + the pins of its edges) and (frontier + a filling)
+        # line up: an edge not in the frontier reads its pin
+        after = frontier + list(incident) + [~k]
+        reads = [after.index(e) for e in incident]
+        reads += sorted({after.index(~m) for e in incident for m in touching[e] if position[m] < s})
+        keep = tuple(j for j, value in enumerate(after) if last[value] > s)
+        steps.append((getter(incident), getter(tuple(reads)), getter(keep)))
+        frontier = [after[j] for j in keep]
+    loose = tuple(step[1] for step in plan.steps if step[0] == _FREE and step[1] not in touching)
+    return tuple(steps), loose
+
+
+def count_completions(structure: Structure, partial: Assignment) -> int:
+    """len(complete(...).solutions), exactly, without enumerating.
+
+    A dynamic program over the plan's nodes (bucket elimination; a
+    transfer matrix on chains): a table maps each frontier, the values
+    that link counted nodes to the rest, to the number of partial
+    assignments reaching it. Each node extends every frontier by its
+    admissible fillings and sums the counts that project alike, so time is
+    linear in the number of nodes times the frontier size.
+    """
+    plan = _compiled(structure)
+    pin = _pins(plan, partial)
+    if plan.counter is None:
+        plan.counter = _compile_counter(plan)
+    steps, loose = plan.counter
+    table: dict[tuple, int] = {(): 1}
+    for pins_of, reads, project in steps:
+        pins = pins_of(pin)
+        reached: dict[tuple, int] = {}
+        for state, n in table.items():
+            for filling in _FILLINGS[reads(state + pins)]:
+                key = project(state + filling)
+                reached[key] = reached.get(key, 0) + n
+        table = reached
+    total = sum(table.values())
+    for e in loose:
+        if pin[e] is None:
+            total *= 3
+    return total
 
 
 def brute_force_complete(structure: Structure, partial: Assignment) -> list[Assignment]:

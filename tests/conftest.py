@@ -1,7 +1,10 @@
+from collections import Counter
+
 import pytest
 
 from helsinki.model import FLAVORS
-from helsinki.structure import build_chain
+from helsinki.solver import brute_force_complete
+from helsinki.structure import build_chain, build_h_cell
 
 
 @pytest.fixture(scope="session")
@@ -14,3 +17,34 @@ def chain_400_witness():
         pins.update({f"h_left.{i}": left, f"h_right.{i}": right, f"l_in.{i}": center, f"r_in.{i}": center})
         center = left  # the right annihilation's output, third to (right, center)
     return build_chain(400), pins
+
+
+@pytest.fixture(scope="session")
+def chain_count():
+    """Unpinned completion counts of chain:K by a transfer matrix over the
+    brute-force solutions of one cell, sharing no code with the solver.
+
+    The state between cells is the flavor entering the next production and
+    whether the right annihilation feeding it is homogeneous; a homogeneous
+    production may not follow a homogeneous one.
+    """
+    homogeneous = lambda *flavors: len(set(flavors)) == 1
+    # (c_in, r_out, production homogeneous, right annihilation homogeneous) -> solutions
+    cell = Counter(
+        (a["c_in"], a["r_out"], homogeneous(a["c_in"], a["h_left"], a["h_right"]),
+         homogeneous(a["h_right"], a["r_in"], a["r_out"]))
+        for a in brute_force_complete(build_h_cell().structure, {})
+    )
+
+    def count(k: int) -> int:
+        vector = Counter({(c, False): 1 for c in FLAVORS})
+        for _ in range(k):
+            after: Counter = Counter()
+            for (center, banned), n in vector.items():
+                for (c_in, r_out, production, annihilation), m in cell.items():
+                    if c_in == center and not (banned and production):
+                        after[r_out, annihilation] += n * m
+            vector = after
+        return sum(vector.values())
+
+    return count

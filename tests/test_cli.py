@@ -1,10 +1,11 @@
 import json
+import sys
 
 import pytest
 
 from helsinki import cli
 from helsinki.cli import run
-from helsinki.structure import build_h_cell, serialize_scenario
+from helsinki.structure import build_chain, build_h_cell, serialize_scenario
 
 
 @pytest.fixture
@@ -243,6 +244,36 @@ def test_solve_on_a_400_cell_file(tmp_path, capsys, chain_400_witness, output):
         assert json.loads(out)["count"] == 1
     else:
         assert out.startswith("solutions: 1 ")
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_count_only_on_an_unpinned_400_cell_file(tmp_path, capsys, chain_count, output):
+    path = tmp_path / "chain400.json"
+    path.write_text(serialize_scenario(build_chain(400)))
+    result = run(["--output", output, "solve", "--structure", str(path), "--count-only"])
+    assert result.exit_code == 0
+    out = capsys.readouterr().out
+    if output == "json":
+        assert json.loads(out)["count"] == chain_count(400)
+    else:
+        assert out == f"count = {chain_count(400)}\n"
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_count_only_prints_every_digit(monkeypatch, capsys, cell_file, output):
+    # past the interpreter's default int-to-text limit of 4300 digits
+    huge = 10**5000
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    monkeypatch.setattr(cli, "count_completions", lambda structure, partial: huge)
+    result = run(["--output", output, "solve", "--structure", cell_file, "--count-only"])
+    assert result.exit_code == 0
+    out = capsys.readouterr().out
+    digits = "1" + "0" * 5000
+    if output == "json":
+        assert json.loads(out, parse_int=str)["count"] == digits
+    else:
+        assert out == f"count = {digits}\n"
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_render_structure_file(cell_file):

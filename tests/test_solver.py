@@ -1,6 +1,7 @@
 import functools
 import gc
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -52,6 +53,13 @@ def diamond() -> Scenario:
         "z": Edge(Endpoint.at_port("a", "out1"), Endpoint.at_terminal("z", FUTURE)),
     }
     return Scenario.derive(Structure(nodes, edges))
+
+
+def wired_cell() -> Scenario:
+    """The h-cell plus a past-to-future wire that no node reads."""
+    cell = build_h_cell().structure
+    wire = Edge(Endpoint.at_terminal("w", PAST), Endpoint.at_terminal("w", FUTURE))
+    return Scenario.derive(Structure(dict(cell.nodes), {**cell.edges, "w": wire}))
 
 
 def free_line() -> Scenario:
@@ -167,6 +175,57 @@ def test_has_completion():
     assert not has_completion(CELL, LINKED_HOMOGENEOUS_TOTAL)
 
 
+def test_count_chain_five():
+    assert count_completions(build_chain(5).structure, {}) == 12_508_320
+
+
+def test_count_matches_transfer_matrix_up_to_sixty_cells(chain_count):
+    for k in range(1, 61):
+        assert count_completions(build_chain(k).structure, {}) == chain_count(k), k
+
+
+def test_count_on_400_unpinned_cells_is_exact(chain_count):
+    count = count_completions(build_chain(400).structure, {})
+    assert count == chain_count(400)
+    assert len(str(count)) == 529
+
+
+def test_count_keeps_a_narrow_frontier_on_reversed_chains():
+    # a topological order would count every left production of a reversed
+    # chain before any of its annihilations: a frontier as wide as the chain
+    forward, backward = build_chain(100).structure, reverse_time(build_chain(100)).structure
+    steps, _ = solver._compile_counter(solver._compiled(backward))
+    assert max(len(project(range(16))) for _, _, project in steps) <= 3
+    assert count_completions(backward, {}) == count_completions(forward, {})
+
+
+def test_count_with_an_unread_wire():
+    structure = wired_cell().structure
+    assert count_completions(structure, {}) == 198 == len(brute_force_complete(structure, {}))
+    assert count_completions(structure, {"w": "B"}) == 66 == len(brute_force_complete(structure, {"w": "B"}))
+
+
+@pytest.mark.parametrize(
+    "structure, partial",
+    [
+        (CELL, LINKED_HOMOGENEOUS_TOTAL),
+        (CELL, {"c_in": "A", "h_left": "A", "h_right": "B"}),  # production {A, A, B}
+        (CELL, {"h_left": "A", "l_in": "A", "l_out": "A", "h_right": "A", "r_in": "B"}),  # two homogeneous
+        (build_chain(3).structure, {"c_mid.2": "A", "l_in.2": "A", "h_left.2": "A", "l_out.2": "B"}),
+    ],
+)
+def test_count_of_contradictory_pins_is_zero(structure, partial):
+    assert count_completions(structure, partial) == 0
+    assert not has_completion(structure, partial)
+
+
+def test_count_of_a_deep_contradiction_is_zero(chain_400_witness):
+    scenario, pins = chain_400_witness
+    # the witness's left annihilation 200 is inhomogeneous, so its output
+    # differs from its input l_in.200
+    assert count_completions(scenario.structure, dict(pins, **{"l_out.200": pins["l_in.200"]})) == 0
+
+
 def test_complete_rejects_unknown_edge():
     with pytest.raises(ValueError, match="unknown"):
         complete(CELL, {"ghost": "A"})
@@ -240,6 +299,34 @@ def test_cached_plan_still_checks_the_partial(search, partial):
 
 
 @pytest.mark.parametrize("search", [complete, count_completions, has_completion])
+@pytest.mark.parametrize(
+    "partial", [{"ghost": "A", "alpha": "B"}, {"c_in": "X", "l_in": "Q"}, {"ghost": "X", "c_in": "Y"}]
+)
+def test_engine_rejects_a_partial_with_the_oracle_message(search, partial):
+    # the engine checks pins against its plan; the oracle builds its own sets
+    with pytest.raises(ValueError) as oracle:
+        brute_force_complete(CELL, partial)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(oracle.value))}$"):
+        search(CELL, partial)
+
+
+def test_counting_layout_is_compiled_once_and_dropped_with_the_plan():
+    structure = build_chain(100).structure
+    key = id(structure)
+    assert has_completion(structure, {})
+    assert solver._PLANS[key].counter is None  # searches never pay for it
+    count_completions(structure, {})
+    counter = solver._PLANS[key].counter
+    count_completions(structure, {"c_in": "A"})
+    assert solver._PLANS[key].counter is counter
+    # the same few projections repeat cell after cell
+    assert len({id(project) for _, _, project in counter[0]}) <= 6
+    del structure, counter
+    gc.collect()
+    assert key not in solver._PLANS
+
+
+@pytest.mark.parametrize("search", [complete, count_completions, has_completion])
 def test_cyclic_structure_raises_on_every_call(search):
     structure = cyclic()
     for _ in range(2):
@@ -301,7 +388,11 @@ ORACLE_STRUCTURES = {
     "chain:1": build_chain(1).structure,
     "chain:2": build_chain(2).structure,
     "reversed chain:2": reverse_time(build_chain(2)).structure,
+    "diamond": diamond().structure,
+    "wired cell": wired_cell().structure,
 }
+#: too many edges for a brute-force scan; held to the depth-first search
+SEARCH_STRUCTURES = {"reversed chain:3": reverse_time(build_chain(3)).structure}
 
 
 @functools.lru_cache(maxsize=None)
@@ -311,16 +402,15 @@ def all_admissible(name):
     return brute_force_complete(ORACLE_STRUCTURES[name], {})
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(ORACLE_STRUCTURES)), st.data())
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_STRUCTURES) + sorted(SEARCH_STRUCTURES)), st.data())
 def test_search_matches_oracle_under_random_pins(name, data):
-    structure = ORACLE_STRUCTURES[name]
+    structure = ORACLE_STRUCTURES.get(name) or SEARCH_STRUCTURES[name]
     partial = data.draw(st.dictionaries(st.sampled_from(sorted(structure.edges)), st.sampled_from(FLAVORS)))
-    if name == "chain:1":
-        expected = brute_force_complete(structure, partial)
-    else:
-        expected = [a for a in all_admissible(name) if all(a[e] == v for e, v in partial.items())]
     solutions = complete(structure, partial).solutions
-    assert solutions == expected
+    if name == "chain:1":
+        assert solutions == brute_force_complete(structure, partial)
+    elif name in ORACLE_STRUCTURES:
+        assert solutions == [a for a in all_admissible(name) if all(a[e] == v for e, v in partial.items())]
     assert count_completions(structure, partial) == len(solutions)
     assert has_completion(structure, partial) == bool(solutions)
