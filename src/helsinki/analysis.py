@@ -4,8 +4,10 @@ The wing inputs of the cell act like measurement settings: which hidden
 states survive depends counterfactually on them, and one wing's admissible
 outputs depend on the other wing's setting. Both dependencies are computed
 here as exact set differences over exhaustive solution sets, along with the
-symmetry-class reduction of the 27 input triples to 4 and the exhaustive
-check that no choice of inputs ever strands a chain without a completion.
+symmetry-class reduction of the 27 input triples to 4 and the check that no
+choice of inputs ever strands a chain without a completion. That check
+enumerates no inputs: `solver.has_stranding_input` decides it for all of
+them at once, and pinning one input at a time finds the least counterexample.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .model import (
     Permutation,
     production_completions,
 )
-from .solver import Assignment, complete, has_completion
+from .solver import Assignment, complete, has_stranding_input
 from .structure import Scenario, build_chain, build_h_cell, intervention_edges
 
 
@@ -202,36 +204,35 @@ def nonlocality_witnesses() -> list[NonlocalWitness]:
     return witnesses
 
 
-def _sweep_inputs(scenario: Scenario):
-    edges = intervention_edges(scenario)
-    for combo in itertools.product(FLAVORS, repeat=len(edges)):
-        yield dict(zip(edges, combo))
-
-
 def check_all_inputs(scenario: Scenario, family: str = "scenario") -> ConsistencyReport:
-    """Verify every total intervention assignment admits a completion."""
-    checked = 0
-    for inputs in _sweep_inputs(scenario):
-        checked += 1
-        if not has_completion(scenario.structure, inputs):
-            return ConsistencyReport(family, None, checked, (scenario, inputs))
-    return ConsistencyReport(family, None, checked, None)
+    """Verify every total intervention assignment admits a completion.
+
+    Assignments are ranked lexicographically over the sorted edges: the
+    counterexample is the least one and `checked` its rank, else all 3^n.
+    """
+    edges = intervention_edges(scenario)
+    if not has_stranding_input(scenario.structure, {}, edges):
+        return ConsistencyReport(family, None, 3 ** len(edges), None)
+    inputs: Assignment = {}
+    rank = 0
+    for i, edge in enumerate(edges):
+        for k, flavor in enumerate(FLAVORS):  # the least under which some extension strands
+            inputs[edge] = flavor
+            if has_stranding_input(scenario.structure, inputs, edges[i + 1:]):
+                break
+        rank = 3 * rank + k
+    return ConsistencyReport(family, None, rank + 1, (scenario, inputs))
 
 
 def consistency_sweep(max_cells: int) -> ConsistencyReport:
-    """Exhaustively check chains of 1..max_cells cells for input choices
-    with no admissible completion.
-
-    Inputs are visited in canonical order (cells ascending, then edge-wise
-    lexicographic), so a reported counterexample is the least one.
-    """
+    """Check chains of 1..max_cells cells for inputs with no completion;
+    ranked by cells, then as in `check_all_inputs`, the least is reported."""
     if max_cells < 1:
         raise ValueError(f"max_cells must be at least 1, got {max_cells}")
     checked = 0
     for k in range(1, max_cells + 1):
-        scenario = build_chain(k)
-        for inputs in _sweep_inputs(scenario):
-            checked += 1
-            if not has_completion(scenario.structure, inputs):
-                return ConsistencyReport("chain", max_cells, checked, (scenario, inputs))
-    return ConsistencyReport("chain", max_cells, checked, None)
+        report = check_all_inputs(build_chain(k))
+        checked += report.checked
+        if report.counterexample is not None:
+            break
+    return ConsistencyReport("chain", max_cells, checked, report.counterexample)

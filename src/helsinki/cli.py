@@ -233,11 +233,12 @@ def _cmd_consistency(args) -> tuple[dict, list[str], int]:
         "checked": report.checked,
         "counterexample": counterexample,
     }
+    with _exact_digits():
+        head = f"family={report.family} checked={report.checked}"
     if counterexample is None:
-        text = f"family={report.family} checked={report.checked} counterexample=none"
-        return body, [text], 0
+        return body, [f"{head} counterexample=none"], 0
     inputs_text = " ".join(f"{k}={v}" for k, v in sorted(report.counterexample[1].items()))
-    return body, [f"family={report.family} checked={report.checked} counterexample: {inputs_text}"], 1
+    return body, [f"{head} counterexample: {inputs_text}"], 1
 
 
 def _cmd_loop(args) -> tuple[dict, list[str], int]:

@@ -26,8 +26,10 @@ transfer matrix on chains), compiled on the first count into the same
 memo entry. It keeps, per frontier of values that link counted nodes to
 the rest, the number of partial assignments reaching it, so the count is
 exact and its time is linear in the number of nodes times the frontier
-size. Structures are assumed to satisfy `validate_topology`; builders
-and the file parser only ever hand over valid ones.
+size. `has_stranding_input` runs the same layout over sets of frontiers
+to decide, for all choices of some edges at once, whether one leaves no
+completion. Structures are assumed to satisfy `validate_topology`;
+builders and the file parser only ever hand over valid ones.
 """
 
 from __future__ import annotations
@@ -368,6 +370,27 @@ def count_completions(structure: Structure, partial: Assignment) -> int:
         if pin[e] is None:
             total *= 3
     return total
+
+
+def has_stranding_input(structure: Structure, partial: Assignment, forall: Collection[str]) -> bool:
+    """Whether some choice of the `forall` edges, extending `partial`, has no completion.
+    The counting layout run over members, each the frontier states reachable under one
+    choice of the `forall` edges read so far; a node reading one first splits each in three."""
+    plan = _compiled(structure)
+    pin = _pins(plan, {**dict.fromkeys(forall, FLAVORS[0]), **partial})
+    if plan.counter is None:
+        plan.counter = _compile_counter(plan)
+    fresh, positions = {plan.index[e] for e in forall if e not in partial}, range(len(pin))
+    members = {frozenset({()})}
+    for pins_of, reads, project in plan.counter[0]:
+        incident = pins_of(positions)  # the node's edge indices
+        choices = list(itertools.product(*(FLAVORS if e in fresh else (pin[e],) for e in incident)))
+        fresh.difference_update(incident)  # later reads find the choice in the frontier
+        members = {frozenset(project(state + f) for state in member for f in _FILLINGS[reads(state + pins)])
+                   for member in members for pins in choices}
+        if frozenset() in members:
+            return True
+    return False
 
 
 def brute_force_complete(structure: Structure, partial: Assignment) -> list[Assignment]:

@@ -1,10 +1,11 @@
+import itertools
 from collections import Counter
 
 import pytest
 
 from helsinki.model import FLAVORS
-from helsinki.solver import brute_force_complete
-from helsinki.structure import build_chain, build_h_cell
+from helsinki.solver import brute_force_complete, has_completion
+from helsinki.structure import build_chain, build_h_cell, intervention_edges
 
 
 @pytest.fixture(scope="session")
@@ -48,3 +49,20 @@ def chain_count():
         return sum(vector.values())
 
     return count
+
+
+@pytest.fixture(scope="session")
+def sweep_by_enumeration():
+    """(checked, least stranding inputs or None) of a scenario, found by one
+    depth-first search per intervention assignment in sorted-edge
+    lexicographic order: the enumerating oracle of the consistency check."""
+
+    def sweep(scenario):
+        edges = intervention_edges(scenario)
+        for checked, combo in enumerate(itertools.product(FLAVORS, repeat=len(edges)), 1):
+            inputs = dict(zip(edges, combo))
+            if not has_completion(scenario.structure, inputs):
+                return checked, inputs
+        return 3 ** len(edges), None
+
+    return sweep

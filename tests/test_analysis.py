@@ -1,7 +1,9 @@
 import itertools
+import re
 
 import pytest
 
+from helsinki import solver
 from helsinki.analysis import (
     ALL_INPUT_TRIPLES,
     ConsistencyReport,
@@ -20,7 +22,8 @@ from helsinki.analysis import (
     state_table,
 )
 from helsinki.model import ALL_PERMUTATIONS, FLAVORS, production_completions
-from helsinki.structure import build_h_cell
+from helsinki.solver import has_completion
+from helsinki.structure import INTERVENTION, Scenario, build_chain, build_h_cell, reverse_time
 
 AA, BC, CB = ("A", "A"), ("B", "C"), ("C", "B")
 
@@ -213,6 +216,63 @@ def test_check_all_inputs_on_cell():
     assert report.family == "cell"
     assert report.checked == 27
     assert report.counterexample is None
+
+
+def test_consistency_sweep_matches_enumeration(sweep_by_enumeration):
+    checked = 0
+    for k in range(1, 5):
+        inputs, counterexample = sweep_by_enumeration(build_chain(k))
+        assert counterexample is None
+        checked += inputs
+        report = consistency_sweep(k)
+        assert (report.checked, report.counterexample) == (checked, None)
+    assert checked == 22140
+
+
+def test_consistency_sweep_runs_no_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a depth-first search ran")
+
+    monkeypatch.setattr(solver, "_search", refuse)
+    report = consistency_sweep(4)
+    assert (report.checked, report.counterexample) == (22140, None)
+
+
+def test_consistency_sweep_is_not_bounded_by_enumeration():
+    report = consistency_sweep(30)
+    assert report.checked == sum(3 ** (2 * k + 1) for k in range(1, 31))
+    assert report.counterexample is None
+
+
+def test_least_counterexample_of_a_relabelled_cell():
+    # c_in = h_left = A makes the production homogeneous, and l_in = A then
+    # makes the left annihilation homogeneous next to it, whatever r_in is
+    cell = build_h_cell()
+    scenario = Scenario(cell.structure, {**cell.roles, "h_left": INTERVENTION})
+    report = check_all_inputs(scenario, family="cell")
+    assert report.checked == 1
+    assert report.counterexample == (scenario, {"c_in": "A", "h_left": "A", "l_in": "A", "r_in": "A"})
+
+
+def test_counterexample_rank_counts_every_smaller_input(sweep_by_enumeration):
+    # the least stranding choice here is not the all-A one: 27 inputs precede it
+    chain = reverse_time(build_chain(2))
+    roles = {**chain.roles, **dict.fromkeys(("h_left.1", "l_in.1", "r_in.1"), INTERVENTION)}
+    scenario = Scenario(chain.structure, roles)
+    checked, inputs = sweep_by_enumeration(scenario)
+    assert checked == 28
+    report = check_all_inputs(scenario)
+    assert (report.checked, report.counterexample) == (checked, (scenario, inputs))
+
+
+def test_unknown_inputs_keep_the_search_message():
+    cell = build_h_cell()
+    scenario = Scenario(cell.structure, {**cell.roles, "ghost": INTERVENTION})
+    with pytest.raises(ValueError) as search:
+        has_completion(cell.structure, {"c_in": "A", "ghost": "A", "l_in": "A", "r_in": "A"})
+    assert str(search.value) == "assignment mentions unknown edges: ghost"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(search.value))}$"):
+        check_all_inputs(scenario)
 
 
 def test_report_carries_counterexample_when_present():

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from helsinki import cli
+from helsinki import analysis, cli
 from helsinki.cli import run
 from helsinki.structure import build_chain, build_h_cell, serialize_scenario
 
@@ -108,6 +108,37 @@ def test_consistency_structure_file(cell_file):
 
 def test_consistency_needs_some_target():
     assert run(["consistency"]).exit_code == 2
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_consistency_on_a_400_cell_file(tmp_path, capsys, output):
+    path = tmp_path / "chain400.json"
+    path.write_text(serialize_scenario(build_chain(400)))
+    result = run(["--output", output, "consistency", "--structure", str(path)])
+    assert result.exit_code == 0
+    out = capsys.readouterr().out
+    if output == "json":
+        assert json.loads(out)["checked"] == 3**801
+    else:
+        assert out == f"family=file:{path} checked={3**801} counterexample=none\n"
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_consistency_prints_every_digit(monkeypatch, capsys, output):
+    # past the interpreter's default int-to-text limit of 4300 digits
+    huge = 10**5000
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    report = analysis.ConsistencyReport("chain", 1, huge, None)
+    monkeypatch.setattr(analysis, "consistency_sweep", lambda max_cells: report)
+    result = run(["--output", output, "consistency", "--max-cells", "1"])
+    assert result.exit_code == 0
+    out = capsys.readouterr().out
+    digits = "1" + "0" * 5000
+    if output == "json":
+        assert json.loads(out, parse_int=str)["checked"] == digits
+    else:
+        assert out == f"family=chain checked={digits} counterexample=none\n"
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 # --- loops ---

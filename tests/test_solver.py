@@ -7,16 +7,19 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from helsinki import solver
+from helsinki.analysis import check_all_inputs
 from helsinki.model import ALL_PERMUTATIONS, ANNIHILATION, FLAVORS, PRODUCTION, apply_permutation
 from helsinki.solver import (
     brute_force_complete,
     complete,
     count_completions,
     has_completion,
+    has_stranding_input,
     is_admissible,
 )
 from helsinki.structure import (
     FUTURE,
+    INTERVENTION,
     PAST,
     Edge,
     Endpoint,
@@ -414,3 +417,49 @@ def test_search_matches_oracle_under_random_pins(name, data):
         assert solutions == [a for a in all_admissible(name) if all(a[e] == v for e, v in partial.items())]
     assert count_completions(structure, partial) == len(solutions)
     assert has_completion(structure, partial) == bool(solutions)
+
+
+# --- the all-inputs decision against one search per input ---
+
+RELABELLED = {
+    "h-cell": build_h_cell(),
+    "diamond": diamond(),
+    "wired cell": wired_cell(),
+    "chain:2": build_chain(2),
+    "reversed chain:2": reverse_time(build_chain(2)),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(RELABELLED)), st.data())
+def test_all_inputs_check_matches_enumeration_on_relabelled_roles(sweep_by_enumeration, name, data):
+    # hidden or observation edges read as interventions make real
+    # counterexamples, e.g. c_in = h_left = l_in = A on the cell
+    base = RELABELLED[name]
+    others = sorted(e for e, role in base.roles.items() if role != INTERVENTION)
+    extra = data.draw(st.lists(st.sampled_from(others), min_size=1, max_size=3, unique=True))
+    scenario = Scenario(base.structure, {**base.roles, **dict.fromkeys(extra, INTERVENTION)})
+    report = check_all_inputs(scenario)
+    found = None if report.counterexample is None else report.counterexample[1]
+    assert (report.checked, found) == sweep_by_enumeration(scenario)
+
+
+@pytest.mark.parametrize(
+    "partial, forall",
+    [({}, ["ghost"]), ({"alpha": "A"}, ["c_in", "ghost"]), ({"c_in": "X"}, ["l_in"]), ({"c_in": "X"}, ["ghost"])],
+)
+def test_stranding_decision_rejects_edges_with_the_search_message(partial, forall):
+    with pytest.raises(ValueError) as search:
+        has_completion(CELL, {**dict.fromkeys(forall, "A"), **partial})
+    with pytest.raises(ValueError, match=f"^{re.escape(str(search.value))}$"):
+        has_stranding_input(CELL, partial, forall)
+
+
+def test_stranding_decision_reads_pins_and_choices():
+    assert not has_stranding_input(CELL, {}, ["c_in", "l_in", "r_in"])
+    assert has_stranding_input(CELL, {"c_in": "A"}, ["h_left", "l_in"])  # h_left = l_in = A
+    assert not has_stranding_input(CELL, {"c_in": "A", "l_in": "B"}, ["h_left"])
+    # a pinned edge is not chosen again, and a contradiction strands anyway
+    assert not has_stranding_input(CELL, {"c_in": "A", "h_left": "B"}, ["h_left", "l_in"])
+    assert has_stranding_input(CELL, LINKED_HOMOGENEOUS_TOTAL, [])
+    assert not has_stranding_input(free_line().structure, {}, ["w"])
