@@ -210,15 +210,22 @@ def check_all_inputs(scenario: Scenario, family: str = "scenario") -> Consistenc
     Assignments are ranked lexicographically over the sorted edges: the
     counterexample is the least one and `checked` its rank, else all 3^n.
     """
-    edges = intervention_edges(scenario)
-    if not has_stranding_input(scenario.structure, {}, edges):
+    structure, edges = scenario.structure, intervention_edges(scenario)
+    if not has_stranding_input(structure, {}, edges):
         return ConsistencyReport(family, None, 3 ** len(edges), None)
     inputs: Assignment = {}
     rank = 0
     for i, edge in enumerate(edges):
+        if i == 0 or inputs[edges[i - 1]] != FLAVORS[0]:
+            # a new prefix: its all-A extension is its least, so if that strands it is the answer
+            least = {**inputs, **dict.fromkeys(edges[i:], FLAVORS[0])}
+            if has_stranding_input(structure, least, ()):
+                inputs, rank = least, rank * 3 ** (len(edges) - i)
+                break
         for k, flavor in enumerate(FLAVORS):  # the least under which some extension strands
             inputs[edge] = flavor
-            if has_stranding_input(scenario.structure, inputs, edges[i + 1:]):
+            # some extension of the prefix strands, so if no other flavor leads to one the last does
+            if k == len(FLAVORS) - 1 or has_stranding_input(structure, inputs, edges[i + 1:]):
                 break
         rank = 3 * rank + k
     return ConsistencyReport(family, None, rank + 1, (scenario, inputs))

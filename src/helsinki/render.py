@@ -12,14 +12,14 @@ from typing import Optional
 from .solver import Assignment
 from .structure import (
     HIDDEN,
+    Endpoint,
     INTERVENTION,
     InvalidStructureError,
+    NodeOrder,
     PRODUCTION,
     PORTS,
     Scenario,
-    node_depths,
     node_order,
-    validate_topology,
 )
 
 FORMATS = ("graph", "ascii")
@@ -29,16 +29,16 @@ def render(scenario: Scenario, assignment: Optional[Assignment] = None, fmt: str
     """Render a scenario, with flavors from an optional partial assignment."""
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {fmt!r}")
-    violations = validate_topology(scenario.structure)
-    if violations:
-        raise InvalidStructureError(violations)
+    walk = node_order(scenario.structure)
+    if walk.violations:
+        raise InvalidStructureError(walk.violations)
     assignment = assignment or {}
     unknown = sorted(set(assignment) - set(scenario.structure.edges))
     if unknown:
         raise ValueError(f"assignment mentions unknown edges: {', '.join(unknown)}")
     if fmt == "graph":
-        return _render_dot(scenario, assignment)
-    return _render_ascii(scenario, assignment)
+        return _render_dot(scenario, walk, assignment)
+    return _render_ascii(scenario, walk, assignment)
 
 
 def _edge_label(eid: str, assignment: Assignment) -> str:
@@ -55,18 +55,17 @@ def _edge_tag(scenario: Scenario, eid: str, assignment: Assignment) -> str:
     return f"[{label}]"
 
 
-def _render_ascii(scenario: Scenario, assignment: Assignment) -> str:
+def _render_ascii(scenario: Scenario, walk: NodeOrder, assignment: Assignment) -> str:
     struct = scenario.structure
     lines = [f"scenario: {len(struct.nodes)} nodes, {len(struct.edges)} edges"]
 
-    future = [e for e in struct.edge_ids() if struct.edges[e].target.is_terminal]
-    past = [e for e in struct.edge_ids() if struct.edges[e].source.is_terminal]
+    future = [e for e in walk.edges if struct.edges[e].target.is_terminal]
+    past = [e for e in walk.edges if struct.edges[e].source.is_terminal]
 
     # nodes grouped by longest-path depth from the past side; depths run
     # 1..max with no gaps, so a depth is also its tier number
-    walk = node_order(struct)
     tiers: dict[int, list[str]] = {}
-    for nid, depth in sorted(node_depths(walk).items()):
+    for nid, depth in sorted(walk.depth.items()):
         tiers.setdefault(depth, []).append(nid)
 
     lines.append("future : " + "  ".join(_edge_tag(scenario, e, assignment) for e in future))
@@ -82,14 +81,11 @@ def _render_ascii(scenario: Scenario, assignment: Assignment) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dot_endpoint_id(scenario: Scenario, eid: str, source: bool) -> str:
-    ep = scenario.structure.edges[eid].source if source else scenario.structure.edges[eid].target
-    if ep.is_terminal:
-        return f"term:{ep.side}:{ep.terminal}"
-    return ep.node
+def _dot_id(ep: Endpoint) -> str:
+    return ep.node if ep.terminal is None else f"term:{ep.side}:{ep.terminal}"
 
 
-def _render_dot(scenario: Scenario, assignment: Assignment) -> str:
+def _render_dot(scenario: Scenario, walk: NodeOrder, assignment: Assignment) -> str:
     struct = scenario.structure
     lines = [
         "digraph scenario {",
@@ -100,16 +96,15 @@ def _render_dot(scenario: Scenario, assignment: Assignment) -> str:
         shape = "triangle" if struct.nodes[nid] == PRODUCTION else "invtriangle"
         lines.append(f'  "{nid}" [shape={shape}, label="{nid}\\n{struct.nodes[nid]}"];')
     terminals = set()
-    for eid in struct.edge_ids():
-        for ep, is_source in ((struct.edges[eid].source, True), (struct.edges[eid].target, False)):
-            if ep.is_terminal:
+    for edge in struct.edges.values():
+        for ep, is_source in ((edge.source, True), (edge.target, False)):
+            if ep.terminal is not None:
                 terminals.add((ep.side, ep.terminal, is_source))
     for side, name, is_source in sorted(terminals):
         shape = "circle" if is_source else "square"
         lines.append(f'  "term:{side}:{name}" [shape={shape}, label="{name}"];')
-    for eid in struct.edge_ids():
-        src = _dot_endpoint_id(scenario, eid, source=True)
-        dst = _dot_endpoint_id(scenario, eid, source=False)
+    for eid in walk.edges:
+        src, dst = _dot_id(struct.edges[eid].source), _dot_id(struct.edges[eid].target)
         style = ", style=dashed" if scenario.roles.get(eid) == HIDDEN else ""
         lines.append(f'  "{src}" -> "{dst}" [label="{_edge_label(eid, assignment)}"{style}];')
     lines.append("}")

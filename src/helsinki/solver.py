@@ -37,13 +37,12 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-import weakref
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Collection, NamedTuple, Optional, Sequence
 
 from .model import FLAVORS, PRODUCTION, annihilation_output, node_admissible, production_completions
-from .structure import IN_PORTS, OUT_PORTS, Structure, node_order
+from .structure import IN_PORTS, OUT_PORTS, Structure, memo, node_order
 
 Assignment = dict[str, str]
 
@@ -81,20 +80,17 @@ def is_admissible(structure: Structure, assignment: Assignment) -> bool:
     if missing:
         raise ValueError(f"assignment must be total; missing edges: {', '.join(missing)}")
 
+    walk = node_order(structure)
     homogeneous: dict[str, bool] = {}
-    for nid in structure.nodes:
-        incident = structure.incident_edges(nid)
-        flavors = [assignment[eid] for eid in incident.values()]
+    for nid, ports in walk.ports.items():
+        flavors = [assignment[eid] for eid in ports.values()]
         if not node_admissible(flavors):
             return False
         homogeneous[nid] = len(set(flavors)) == 1
 
     # the one flavor-dependent adjacency rule: linked nodes may not both be
     # homogeneous
-    for src, dst, _ in structure.internal_adjacencies():
-        if homogeneous[src] and homogeneous[dst]:
-            return False
-    return True
+    return not any(homogeneous[src] and homogeneous[dst] for dst, srcs in walk.preds.items() for src in srcs)
 
 
 _FREE, _PRODUCTION, _ANNIHILATION = 0, 1, 2
@@ -126,9 +122,9 @@ def _compile(structure: Structure) -> _Plan:
     """Free past-side edges interleaved with nodes in topological order,
     loose edges last, all as indices into the sorted edges and the order."""
     walk = node_order(structure)
-    if walk.stuck:
+    if len(walk.order) < len(structure.nodes):
         raise ValueError("structure contains a directed cycle; validate it first")
-    edge_ids = structure.edge_ids()
+    edge_ids = walk.edges
     index = {eid: i for i, eid in enumerate(edge_ids)}
     position = {nid: k for k, nid in enumerate(walk.order)}
     steps: list[tuple[int, ...]] = []
@@ -149,17 +145,12 @@ def _compile(structure: Structure) -> _Plan:
     return _Plan(edge_ids, index, tuple(steps))
 
 
-#: id(structure) -> its plan; the entry goes when the structure is
-#: collected, so a reused id never finds a stale plan
+#: id(structure) -> its plan, kept by `structure.memo` beside the walk
 _PLANS: dict[int, _Plan] = {}
 
 
 def _compiled(structure: Structure) -> _Plan:
-    plan = _PLANS.get(id(structure))
-    if plan is None:
-        plan = _PLANS[id(structure)] = _compile(structure)
-        weakref.finalize(structure, _PLANS.pop, id(structure), None)
-    return plan
+    return memo(_PLANS, structure, _compile)
 
 
 def _pins(plan: _Plan, partial: Assignment) -> list[Optional[str]]:
@@ -401,14 +392,12 @@ def brute_force_complete(structure: Structure, partial: Assignment) -> list[Assi
     precomputed for speed, but every candidate is still visited.
     """
     _check_partial(structure, partial)
-    edge_ids = structure.edge_ids()
+    walk = node_order(structure)
+    edge_ids = walk.edges
     index = {eid: i for i, eid in enumerate(edge_ids)}
 
-    node_triples = []
-    for nid in sorted(structure.nodes):
-        incident = structure.incident_edges(nid)
-        node_triples.append((nid, tuple(index[eid] for eid in incident.values())))
-    adjacency = [(src, dst) for src, dst, _ in structure.internal_adjacencies()]
+    node_triples = [(nid, tuple(index[eid] for eid in walk.ports[nid].values())) for nid in sorted(structure.nodes)]
+    adjacency = [(src, dst) for dst, srcs in walk.preds.items() for src in srcs]
     pins = [(index[eid], flavor) for eid, flavor in sorted(partial.items())]
 
     survivors: list[Assignment] = []

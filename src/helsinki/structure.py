@@ -7,15 +7,20 @@ entering from the past are interventions (freely choosable), edges leaving
 to the future are observations (read-only), and internal edges are hidden.
 
 Structures and Scenarios are immutable after construction by convention;
-no function here mutates its inputs.
+no function here mutates its inputs. Each structure object's graph is
+walked and checked once (`node_order`), and the walk is kept until the
+object is collected, so a structure must not be mutated after its first
+validate, render or search: build a new one instead.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import weakref
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Callable, NamedTuple, Optional
 
 from .model import ANNIHILATION, FLAVORS, NODE_KINDS, PRODUCTION
 
@@ -37,6 +42,9 @@ IN_PORTS = ("in1", "in2")
 OUT_PORTS = ("out1", "out2")
 
 _MIRROR_PORT = {"in1": "out1", "out1": "in1", "in2": "out2", "out2": "in2"}
+_PORT_NAMES = IN_PORTS + OUT_PORTS
+#: per end of an edge: its name, the side its terminal must be on, the ports it may use and their name
+_ENDS = (("source", PAST, OUT_PORTS, "an out-port"), ("target", FUTURE, IN_PORTS, "an in-port"))
 _MIRROR_SIDE = {PAST: FUTURE, FUTURE: PAST}
 _FLIP_KIND = {PRODUCTION: ANNIHILATION, ANNIHILATION: PRODUCTION}
 
@@ -65,8 +73,7 @@ class InvalidStructureError(Exception):
         super().__init__("; ".join(str(v) for v in self.violations))
 
 
-@dataclass(frozen=True)
-class Endpoint:
+class Endpoint(NamedTuple):
     """One end of an edge: either a node port or an external terminal."""
 
     node: Optional[str] = None
@@ -76,23 +83,24 @@ class Endpoint:
 
     @staticmethod
     def at_port(node: str, port: str) -> "Endpoint":
-        return Endpoint(node=node, port=port)
+        return Endpoint(node, port)
 
     @staticmethod
     def at_terminal(name: str, side: str) -> "Endpoint":
-        return Endpoint(terminal=name, side=side)
+        return Endpoint(None, None, name, side)
 
     @property
     def is_terminal(self) -> bool:
         return self.terminal is not None
 
-    def to_json(self) -> dict:
-        if self.is_terminal:
-            return {"terminal": self.terminal, "side": self.side}
-        return {"node": self.node, "port": self.port}
-
     @staticmethod
     def from_json(obj: object, where: str) -> "Endpoint":
+        if type(obj) is dict and len(obj) == 2:  # the common well-formed shapes, checked in full below otherwise
+            node, port, side = obj.get("node"), obj.get("port"), obj.get("side")
+            if type(node) is str and port in _PORT_NAMES:
+                return Endpoint(node, port)
+            if side in (PAST, FUTURE) and type(obj.get("terminal")) is str:
+                return Endpoint(None, None, obj["terminal"], side)
         if not isinstance(obj, dict):
             raise ParseError(f"{where}: endpoint must be an object, got {type(obj).__name__}")
         keys = set(obj)
@@ -130,92 +138,130 @@ class Structure:
     def edge_ids(self) -> list[str]:
         return sorted(self.edges)
 
-    def incident_edges(self, node_id: str) -> dict[str, str]:
-        """Map port -> edge id for every edge touching the node."""
-        out: dict[str, str] = {}
-        for eid in self.edge_ids():
-            edge = self.edges[eid]
-            for ep in (edge.source, edge.target):
-                if ep.node == node_id:
-                    out[ep.port] = eid
-        return out
 
-    def internal_adjacencies(self) -> list[tuple[str, str, str]]:
-        """(source node, target node, edge id) for every node-to-node edge.
-
-        This is the adjacency relation behind the ban on two linked
-        homogeneous nodes; whether a given flavor assignment trips it is
-        the solver's business.
-        """
-        out = []
-        for eid in self.edge_ids():
-            edge = self.edges[eid]
-            if not edge.source.is_terminal and not edge.target.is_terminal:
-                out.append((edge.source.node, edge.target.node, eid))
-        return out
+def memo(table: dict, obj: object, build: Callable):
+    """`build(obj)`, made on first use and kept in `table` under `id(obj)`
+    until `obj` is collected, so a reused id never finds a stale entry. A
+    build that raises stores nothing."""
+    entry = table.get(id(obj))
+    if entry is None:
+        entry = table[id(obj)] = build(obj)
+        weakref.finalize(obj, table.pop, id(obj), None)
+    return entry
 
 
 class NodeOrder(NamedTuple):
-    """Port table, predecessors and topological order of a structure."""
+    """The one walk over a structure: its port table, topological order,
+    path depths and violations. Shared; readers must not mutate it."""
 
+    #: sorted edge ids
+    edges: list[str]
     #: node -> port -> edge id
     ports: dict[str, dict[str, str]]
     #: node -> source node of each internal edge entering it
     preds: dict[str, list[str]]
-    #: topological order; among ready nodes the least id goes first (Kahn)
+    #: topological order; among ready nodes the least id goes first (Kahn);
+    #: nodes a directed cycle feeds are left off
     order: list[str]
-    #: sorted nodes left off `order` because a directed cycle feeds them
-    stuck: list[str]
+    #: ordered node -> node count of the longest directed path ending there
+    depth: dict[str, int]
     #: sorted edges that touch no node
     loose: list[str]
+    #: every broken structural invariant, in report order
+    violations: tuple[Violation, ...]
 
 
-def node_order(structure: Structure) -> NodeOrder:
-    """The one walk over a structure's graph, in one pass over its sorted
-    edges; validation, the solver plan, path depth and rendering all read it.
+def _walk(structure: Structure) -> NodeOrder:
+    """One pass over the sorted edges, one over the sorted nodes, then Kahn.
 
-    Endpoints naming missing nodes are skipped, so it is safe to build on a
-    structure that does not validate.
+    Endpoints naming missing nodes are reported and otherwise skipped, so
+    the walk is safe to build on a structure that does not validate.
     """
-    ports: dict[str, dict[str, str]] = {nid: {} for nid in structure.nodes}
-    preds: dict[str, list[str]] = {nid: [] for nid in structure.nodes}
-    succ: dict[str, list[str]] = {nid: [] for nid in structure.nodes}
+    nodes = structure.nodes
+    ports: dict[str, dict[str, str]] = {nid: {} for nid in nodes}
+    preds: dict[str, list[str]] = {nid: [] for nid in nodes}
+    succ: dict[str, list[str]] = {nid: [] for nid in nodes}
+    clash: dict[tuple[str, str], list[str]] = {}  # (node, port) -> every edge using it, if more than one
+    edge_v: list[Violation] = []
+    link_v: list[Violation] = []
     loose: list[str] = []
-    for eid in structure.edge_ids():
+    edges = sorted(structure.edges)
+    for eid in edges:
         edge = structure.edges[eid]
-        linked = []
-        for ep in (edge.source, edge.target):
-            if not ep.is_terminal and ep.node in ports:
-                ports[ep.node][ep.port] = eid
-                linked.append(ep.node)
-        if not linked:
-            loose.append(eid)
-        elif len(linked) == 2:
+        linked, turned = [], []  # direction faults are reported after both ends' port faults
+        for ep, (end, side, allowed, name) in zip((edge.source, edge.target), _ENDS):
+            if ep.terminal is not None:
+                if ep.side != side:
+                    turned.append(Violation("bad-direction", eid, f"{end} terminal must be on the {side} side"))
+                continue
+            if ep.port not in allowed:
+                turned.append(Violation("bad-direction", eid, f"{end} must be {name}, got {ep.port!r}"))
+            table = ports.get(ep.node)
+            if table is None:
+                edge_v.append(Violation("unknown-node", eid, f"{end} references missing node {ep.node!r}"))
+                continue
+            if ep.port in table:
+                clash.setdefault((ep.node, ep.port), [table[ep.port]]).append(eid)
+            table[ep.port] = eid
+            linked.append(ep.node)
+            kind = nodes[ep.node]
+            if kind in PORTS and ep.port not in PORTS[kind]:
+                message = f"{end} port {ep.port!r} does not exist on {kind} node {ep.node!r}"
+                edge_v.append(Violation("bad-port", eid, message))
+        edge_v += turned
+        if len(linked) == 2:
             src, dst = linked
             preds[dst].append(src)
             succ[src].append(dst)
+            if nodes[src] == nodes[dst]:
+                link_v.append(Violation("alternation", eid, f"links two {nodes[src]} nodes ({src} -> {dst})"))
+        elif not linked:
+            loose.append(eid)
+
+    # node kinds, and every port of every node used exactly once
+    kind_v: list[Violation] = []
+    port_v: list[Violation] = []
+    for nid in sorted(nodes):
+        kind = nodes[nid]
+        if kind not in PORTS:
+            kind_v.append(Violation("bad-kind", nid, f"unknown node kind {kind!r}"))
+            continue
+        for port in PORTS[kind]:
+            if port not in ports[nid]:
+                port_v.append(Violation("port-unused", nid, f"port {port!r} has no edge"))
+            elif (nid, port) in clash:
+                users = ", ".join(clash[nid, port])
+                port_v.append(Violation("port-conflict", nid, f"port {port!r} used by edges {users}"))
 
     indeg = {nid: len(p) for nid, p in preds.items()}
     ready = [nid for nid, d in indeg.items() if d == 0]
     heapq.heapify(ready)
     order: list[str] = []
+    depth: dict[str, int] = {}
+    below = dict.fromkeys(nodes, 0)  # the deepest ordered predecessor so far
     while ready:
         nid = heapq.heappop(ready)
         order.append(nid)
+        d = depth[nid] = below[nid] + 1
         for nxt in succ[nid]:
+            if below[nxt] < d:
+                below[nxt] = d
             indeg[nxt] -= 1
             if indeg[nxt] == 0:
                 heapq.heappush(ready, nxt)
     stuck = sorted(nid for nid, d in indeg.items() if d > 0)
-    return NodeOrder(ports, preds, order, stuck, loose)
+    cycle = [Violation("cycle", ",".join(stuck), "directed cycle through these nodes")] if stuck else []
+    return NodeOrder(edges, ports, preds, order, depth, loose, tuple(kind_v + edge_v + port_v + link_v + cycle))
 
 
-def node_depths(walk: NodeOrder) -> dict[str, int]:
-    """Node count of the longest directed path ending at each ordered node."""
-    depth: dict[str, int] = {}
-    for nid in walk.order:
-        depth[nid] = 1 + max((depth[p] for p in walk.preds[nid]), default=0)
-    return depth
+#: id(structure) -> its walk
+_WALKS: dict[int, NodeOrder] = {}
+
+
+def node_order(structure: Structure) -> NodeOrder:
+    """The one walk over a structure's graph, made once per object;
+    validation, the solver plan, path depth and rendering all read it."""
+    return memo(_WALKS, structure, _walk)
 
 
 def validate_topology(structure: Structure) -> list[Violation]:
@@ -224,70 +270,9 @@ def validate_topology(structure: Structure) -> list[Violation]:
     Checks node kinds, port existence, exactly-once port coverage, edge
     direction (sources leave out-ports or the past, targets enter in-ports
     or the future), acyclicity, and the production/annihilation alternation
-    rule on internal edges.
+    rule on internal edges. The list is the caller's own.
     """
-    violations: list[Violation] = []
-
-    for nid in sorted(structure.nodes):
-        kind = structure.nodes[nid]
-        if kind not in NODE_KINDS:
-            violations.append(Violation("bad-kind", nid, f"unknown node kind {kind!r}"))
-
-    # port references and direction
-    used: dict[tuple[str, str], list[str]] = {}
-    for eid in structure.edge_ids():
-        edge = structure.edges[eid]
-        for ep, end in ((edge.source, "source"), (edge.target, "target")):
-            if ep.is_terminal:
-                continue
-            if ep.node not in structure.nodes:
-                violations.append(Violation("unknown-node", eid, f"{end} references missing node {ep.node!r}"))
-                continue
-            kind = structure.nodes[ep.node]
-            if kind in PORTS and ep.port not in PORTS[kind]:
-                violations.append(
-                    Violation("bad-port", eid, f"{end} port {ep.port!r} does not exist on {kind} node {ep.node!r}")
-                )
-                continue
-            used.setdefault((ep.node, ep.port), []).append(eid)
-        if edge.source.is_terminal:
-            if edge.source.side != PAST:
-                violations.append(Violation("bad-direction", eid, "source terminal must be on the past side"))
-        elif edge.source.port not in OUT_PORTS:
-            violations.append(Violation("bad-direction", eid, f"source must be an out-port, got {edge.source.port!r}"))
-        if edge.target.is_terminal:
-            if edge.target.side != FUTURE:
-                violations.append(Violation("bad-direction", eid, "target terminal must be on the future side"))
-        elif edge.target.port not in IN_PORTS:
-            violations.append(Violation("bad-direction", eid, f"target must be an in-port, got {edge.target.port!r}"))
-
-    # every port of every node used exactly once
-    for nid in sorted(structure.nodes):
-        kind = structure.nodes[nid]
-        if kind not in PORTS:
-            continue
-        for port in PORTS[kind]:
-            users = used.get((nid, port), [])
-            if not users:
-                violations.append(Violation("port-unused", nid, f"port {port!r} has no edge"))
-            elif len(users) > 1:
-                violations.append(
-                    Violation("port-conflict", nid, f"port {port!r} used by edges {', '.join(sorted(users))}")
-                )
-
-    # alternation on internal edges
-    for src, dst, eid in structure.internal_adjacencies():
-        if src in structure.nodes and dst in structure.nodes:
-            if structure.nodes[src] == structure.nodes[dst]:
-                violations.append(
-                    Violation("alternation", eid, f"links two {structure.nodes[src]} nodes ({src} -> {dst})")
-                )
-
-    stuck = node_order(structure).stuck
-    if stuck:
-        violations.append(Violation("cycle", ",".join(stuck), "directed cycle through these nodes"))
-
-    return violations
+    return list(node_order(structure).violations)
 
 
 def derive_roles(structure: Structure) -> dict[str, str]:
@@ -416,20 +401,41 @@ def reverse_time(scenario: Scenario) -> Scenario:
 # --- file format ---
 
 
+def _object(entries: list[str]) -> str:
+    """A top-level field's JSON object from its rendered `"key": value` entries."""
+    return "{\n    " + ",\n    ".join(entries) + "\n  }" if entries else "{}"
+
+
+def _strings(mapping: dict[str, str]) -> str:
+    return _object([f"{_quote(key)}: {_quote(mapping[key])}" for key in sorted(mapping)])
+
+
+def _endpoint(ep: Endpoint) -> str:
+    if ep.terminal is not None:
+        return f'{{\n        "side": {_quote(ep.side)},\n        "terminal": {_quote(ep.terminal)}\n      }}'
+    return f'{{\n        "node": {_quote(ep.node)},\n        "port": {_quote(ep.port)}\n      }}'
+
+
 def serialize_scenario(scenario: Scenario, assignment: Optional[dict[str, str]] = None) -> str:
     """Serialize to the JSON structure file format, optionally embedding a
-    (possibly partial) flavor assignment. Key order is canonical."""
-    doc: dict[str, object] = {
-        "nodes": {nid: scenario.structure.nodes[nid] for nid in sorted(scenario.structure.nodes)},
-        "edges": {
-            eid: {"from": edge.source.to_json(), "to": edge.target.to_json()}
-            for eid, edge in sorted(scenario.structure.edges.items())
-        },
-        "roles": {eid: scenario.roles[eid] for eid in sorted(scenario.roles)},
-    }
-    if assignment is not None:
-        doc["assignment"] = {eid: assignment[eid] for eid in sorted(assignment)}
-    return json.dumps(doc, indent=2, sort_keys=True)
+    (possibly partial) flavor assignment.
+
+    The text is exactly `json.dumps(document, indent=2, sort_keys=True)`,
+    written directly: every id and value is a string, escaped as `json`
+    escapes it.
+    """
+    edges = scenario.structure.edges
+    fields = [] if assignment is None else [("assignment", _strings(assignment))]
+    fields += [
+        ("edges", _object([
+            f'{_quote(eid)}: {{\n      "from": {_endpoint(edges[eid].source)},\n'
+            f'      "to": {_endpoint(edges[eid].target)}\n    }}'
+            for eid in sorted(edges)
+        ])),
+        ("nodes", _strings(scenario.structure.nodes)),
+        ("roles", _strings(scenario.roles)),
+    ]
+    return "{\n" + ",\n".join(f'  "{key}": {value}' for key, value in fields) + "\n}"
 
 
 def parse_scenario_document(text: str) -> tuple[Scenario, Optional[dict[str, str]]]:
@@ -452,21 +458,20 @@ def parse_scenario_document(text: str) -> tuple[Scenario, Optional[dict[str, str
     if unknown:
         raise ParseError(f"unknown top-level fields: {sorted(unknown)}")
 
-    if not isinstance(doc["nodes"], dict):
+    nodes = doc["nodes"]  # the keys of a JSON object are strings
+    if not isinstance(nodes, dict):
         raise ParseError("'nodes' must map node ids to kinds")
-    nodes: dict[str, str] = {}
-    for nid, kind in doc["nodes"].items():
+    for nid, kind in nodes.items():
         if kind not in NODE_KINDS:
             raise ParseError(f"nodes[{nid!r}]: kind must be one of {'/'.join(NODE_KINDS)}, got {kind!r}")
-        nodes[str(nid)] = kind
 
     if not isinstance(doc["edges"], dict):
         raise ParseError("'edges' must map edge ids to endpoint pairs")
     edges: dict[str, Edge] = {}
     for eid, body in doc["edges"].items():
-        if not isinstance(body, dict) or set(body) != {"from", "to"}:
+        if not isinstance(body, dict) or body.keys() != {"from", "to"}:
             raise ParseError(f"edges[{eid!r}]: needs exactly the fields 'from' and 'to'")
-        edges[str(eid)] = Edge(
+        edges[eid] = Edge(
             Endpoint.from_json(body["from"], f"edges[{eid!r}].from"),
             Endpoint.from_json(body["to"], f"edges[{eid!r}].to"),
         )
@@ -475,7 +480,7 @@ def parse_scenario_document(text: str) -> tuple[Scenario, Optional[dict[str, str
     violations = validate_topology(structure)
     roles = derive_roles(structure)
 
-    if "roles" in doc:
+    if "roles" in doc and doc["roles"] != roles:  # declared roles equal to the derived ones pass every check below
         declared = doc["roles"]
         if not isinstance(declared, dict):
             raise ParseError("'roles' must map edge ids to roles")
@@ -502,7 +507,7 @@ def parse_scenario_document(text: str) -> tuple[Scenario, Optional[dict[str, str
                 raise ParseError(f"assignment[{eid!r}]: no such edge")
             if flavor not in FLAVORS:
                 raise ParseError(f"assignment[{eid!r}]: unknown flavor {flavor!r}")
-            assignment[str(eid)] = flavor
+            assignment[eid] = flavor
 
     if violations:
         raise InvalidStructureError(violations)
@@ -517,4 +522,4 @@ def parse_scenario(text: str) -> Scenario:
 
 def longest_node_path(structure: Structure) -> int:
     """Node count of the longest directed path through internal edges."""
-    return max(node_depths(node_order(structure)).values(), default=0)
+    return max(node_order(structure).depth.values(), default=0)

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from helsinki import solver
+from helsinki import analysis, solver
 from helsinki.analysis import (
     ALL_INPUT_TRIPLES,
     ConsistencyReport,
@@ -23,7 +23,7 @@ from helsinki.analysis import (
 )
 from helsinki.model import ALL_PERMUTATIONS, FLAVORS, production_completions
 from helsinki.solver import has_completion
-from helsinki.structure import INTERVENTION, Scenario, build_chain, build_h_cell, reverse_time
+from helsinki.structure import INTERVENTION, Scenario, build_chain, build_h_cell, intervention_edges, reverse_time
 
 AA, BC, CB = ("A", "A"), ("B", "C"), ("C", "B")
 
@@ -263,6 +263,48 @@ def test_counterexample_rank_counts_every_smaller_input(sweep_by_enumeration):
     assert checked == 28
     report = check_all_inputs(scenario)
     assert (report.checked, report.counterexample) == (checked, (scenario, inputs))
+
+
+def relabelled(scenario, *edges):
+    return Scenario(scenario.structure, {**scenario.roles, **dict.fromkeys(edges, INTERVENTION)})
+
+
+def mutants():
+    """Chains of 1..4 cells, each way in time, with a hidden edge (or one
+    and an observation next to it) relabelled as an intervention; beyond its
+    first cell, forward chain:4 is left out: no input strands there, and
+    the enumerating oracle would try all 3^10 inputs."""
+    for k in range(1, 5):
+        for scenario in (build_chain(k), reverse_time(build_chain(k))):
+            hidden = sorted(e for e, role in scenario.roles.items() if role == "hidden")
+            if k == 4 and "c_in" in intervention_edges(scenario):
+                hidden = ["c_mid.2", "h_left.1", "h_right.1"]
+            yield from (relabelled(scenario, e) for e in hidden)
+    # least counterexamples with a B in them
+    yield relabelled(reverse_time(build_h_cell()), "h_left", "l_in")
+    yield relabelled(build_chain(2), "h_left.2", "l_out.2")
+    yield relabelled(reverse_time(build_chain(2)), "h_left.1", "l_in.1")
+
+
+def test_least_counterexample_matches_the_enumerating_oracle(sweep_by_enumeration):
+    found = []
+    for scenario in mutants():
+        checked, inputs = sweep_by_enumeration(scenario)
+        report = check_all_inputs(scenario)
+        assert (report.checked, report.counterexample) == (checked, inputs and (scenario, inputs))
+        found += [inputs] if inputs else []
+    assert len(found) == 14 and sum("B" in inputs.values() for inputs in found) == 3
+
+
+def test_an_all_a_counterexample_takes_two_runs(monkeypatch):
+    # one to find that some input strands, one to find that the all-A one does
+    runs = []
+    decide = solver.has_stranding_input
+    monkeypatch.setattr(analysis, "has_stranding_input", lambda *args: runs.append(args) or decide(*args))
+    report = check_all_inputs(relabelled(build_chain(400), "h_left.400", "h_right.400"))
+    assert report.checked == 1
+    assert set(report.counterexample[1].values()) == {"A"} and len(report.counterexample[1]) == 803
+    assert len(runs) == 2
 
 
 def test_unknown_inputs_keep_the_search_message():

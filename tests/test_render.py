@@ -74,3 +74,14 @@ def test_render_reports_invalid_structure():
     broken = Scenario.derive(Structure(nodes, edges))
     with pytest.raises(InvalidStructureError):
         render(broken, None, "ascii")
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "graph"])
+def test_render_of_an_invalid_structure_raises_on_every_call(fmt):
+    # the walk keeps the violations, not a verdict, so the second call sees them too
+    nodes = {"p": "production"}
+    edges = {"in": Edge(Endpoint.at_terminal("in", PAST), Endpoint.at_port("p", "in1"))}
+    broken = Scenario.derive(Structure(nodes, edges))
+    for _ in range(2):
+        with pytest.raises(InvalidStructureError, match="^port-unused \\[p\\]: port 'out1' has no edge; "):
+            render(broken, None, fmt)

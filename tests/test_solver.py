@@ -2,6 +2,7 @@ import functools
 import gc
 import random
 import re
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -94,6 +95,18 @@ def test_is_admissible_requires_total():
 def test_is_admissible_rejects_unknown_edges():
     with pytest.raises(ValueError, match="unknown"):
         is_admissible(CELL, dict(ALLOWED_TOTAL, ghost="A"))
+
+
+def test_is_admissible_is_linear_in_the_structure(chain_400_witness):
+    # it reads the port table of the one walk; asking each node for its
+    # edges by a scan over every edge took over a second at 400 cells
+    scenario, pins = chain_400_witness
+    (solution,) = complete(scenario.structure, pins).solutions
+    fresh = build_chain(400).structure
+    start = time.perf_counter()
+    assert is_admissible(fresh, solution)
+    assert not is_admissible(fresh, {**solution, "l_out.400": "A" if solution["l_out.400"] != "A" else "B"})
+    assert time.perf_counter() - start < 0.2
 
 
 # --- completion ---

@@ -1,10 +1,14 @@
+import gc
 import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as hyp
 
+from helsinki import structure as structure_module
 from helsinki.model import ANNIHILATION, FLAVORS, PRODUCTION
-from helsinki.solver import is_admissible
+from helsinki.render import render
+from helsinki.solver import complete, count_completions, is_admissible
 from helsinki.structure import (
     FUTURE,
     HIDDEN,
@@ -17,6 +21,7 @@ from helsinki.structure import (
     ParseError,
     Scenario,
     Structure,
+    Violation,
     build_chain,
     build_h_cell,
     derive_roles,
@@ -285,3 +290,215 @@ def test_roles_optional_on_parse():
 def test_scenario_derive_matches_builder():
     cell = build_h_cell()
     assert Scenario.derive(cell.structure) == cell
+
+
+# --- the direct writer against json.dumps ---
+
+
+def document(scenario, assignment=None):
+    """The file format as a document, the way the writer described it
+    before it wrote the text directly: the oracle of the byte tests."""
+
+    def endpoint(ep):
+        return {"terminal": ep.terminal, "side": ep.side} if ep.is_terminal else {"node": ep.node, "port": ep.port}
+
+    doc = {
+        "nodes": dict(scenario.structure.nodes),
+        "edges": {
+            eid: {"from": endpoint(edge.source), "to": endpoint(edge.target)}
+            for eid, edge in scenario.structure.edges.items()
+        },
+        "roles": dict(scenario.roles),
+    }
+    if assignment is not None:
+        doc["assignment"] = dict(assignment)
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+WRITER_CASES = [build_h_cell()] + [build_chain(k) for k in range(1, 6)] + [reverse_time(build_chain(3))]
+
+
+@pytest.mark.parametrize("scenario", WRITER_CASES)
+@pytest.mark.parametrize("pins", ["none", "empty", "partial"])
+def test_writer_matches_json_dumps_byte_for_byte(scenario, pins):
+    edges = sorted(scenario.structure.edges)
+    assignment = {"none": None, "empty": {}, "partial": {e: FLAVORS[i % 3] for i, e in enumerate(edges[::2])}}[pins]
+    assert serialize_scenario(scenario, assignment) == document(scenario, assignment)
+
+
+#: characters json escapes, plus plain ones, a non-BMP one and a dot
+ID_TEXT = hyp.text(alphabet=hyp.sampled_from(['"', "\\", "\n", "\t", "\x00", "é", "☃", "\U0001f600", "a", "."]),
+                   max_size=4)
+
+
+@given(hyp.lists(ID_TEXT, min_size=10, max_size=10, unique=True), hyp.sampled_from(FLAVORS))
+@settings(max_examples=60, deadline=None)
+def test_writer_escapes_ids_as_json_does(ids, flavor):
+    # the cell with every node and edge renamed; the empty string is an id like any other
+    cell = build_h_cell()
+    rename = dict(zip(sorted(cell.structure.nodes) + sorted(cell.structure.edges), ids))
+
+    def moved(ep):
+        return ep if ep.is_terminal else Endpoint.at_port(rename[ep.node], ep.port)
+
+    structure = Structure(
+        {rename[n]: kind for n, kind in cell.structure.nodes.items()},
+        {rename[e]: Edge(moved(edge.source), moved(edge.target)) for e, edge in cell.structure.edges.items()},
+    )
+    scenario = Scenario.derive(structure)
+    assignment = {rename["c_in"]: flavor, rename["h_left"]: flavor}
+    text = serialize_scenario(scenario, assignment)
+    assert text == document(scenario, assignment)
+    assert parse_scenario_document(text) == (scenario, assignment)
+
+
+def test_endpoints_compare_by_value():
+    assert Endpoint.at_port("p", "in1") == Endpoint(node="p", port="in1")
+    assert Endpoint.at_terminal("c", PAST) == Endpoint(terminal="c", side=PAST)
+    assert Endpoint.at_port("p", "in1") != Endpoint.at_port("p", "in2")
+    assert Endpoint.at_port("c", "in1") != Endpoint.at_terminal("c", PAST)
+    assert Endpoint.at_terminal("c", PAST).is_terminal and not Endpoint.at_port("p", "in1").is_terminal
+    assert len({Endpoint.at_port("p", "in1"), Endpoint(node="p", port="in1")}) == 1
+
+
+# --- one walk per structure object ---
+
+
+def test_walk_memo_drops_collected_structures():
+    structure = build_chain(3).structure
+    key = id(structure)
+    assert validate_topology(structure) == []
+    assert key in structure_module._WALKS
+    del structure
+    gc.collect()
+    assert key not in structure_module._WALKS
+
+
+def test_validate_topology_returns_a_fresh_list():
+    broken = Structure({"n": "fusion"}, {})
+    first = validate_topology(broken)
+    first.append("junk")
+    first.clear()
+    assert validate_topology(broken) == [Violation("bad-kind", "n", "unknown node kind 'fusion'")]
+    assert validate_topology(broken) is not validate_topology(broken)
+
+
+def test_validate_render_path_and_search_share_one_walk(monkeypatch):
+    walks = []
+    build = structure_module._walk
+    monkeypatch.setattr(structure_module, "_walk", lambda s: walks.append(s) or build(s))
+    scenario = build_chain(2)
+    assert validate_topology(scenario.structure) == []
+    render(scenario, None, "ascii")
+    render(scenario, None, "graph")
+    assert longest_node_path(scenario.structure) == 4
+    assert count_completions(scenario.structure, {"c_in": "A"}) > 0
+    assert is_admissible(scenario.structure, complete(scenario.structure, {}).solutions[0])
+    assert walks == [scenario.structure]
+
+
+# --- every message, word for word ---
+
+
+def edited(change):
+    doc = json.loads(serialize_scenario(build_h_cell(), {"c_in": "A"}))
+    change(doc)
+    return json.dumps(doc)
+
+
+def put(path, value):
+    def change(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return change
+
+
+def drop(*path):
+    def change(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        del doc[last]
+    return change
+
+
+PARSE_ERRORS = [
+    ("{not json", "invalid JSON at line 1, column 2: Expecting property name enclosed in double quotes"),
+    ("[]", "top level must be an object"),
+    ('{"edges": {}}', "missing required field 'nodes'"),
+    ('{"nodes": {}}', "missing required field 'edges'"),
+    (edited(lambda d: d.update(zzz=1, extra=2)), "unknown top-level fields: ['extra', 'zzz']"),
+    (edited(put(["nodes"], [])), "'nodes' must map node ids to kinds"),
+    (edited(put(["nodes", "prod"], "fusion")),
+     "nodes['prod']: kind must be one of production/annihilation, got 'fusion'"),
+    (edited(put(["edges"], [])), "'edges' must map edge ids to endpoint pairs"),
+    (edited(drop("edges", "c_in", "to")), "edges['c_in']: needs exactly the fields 'from' and 'to'"),
+    (edited(put(["edges", "c_in", "via"], {})), "edges['c_in']: needs exactly the fields 'from' and 'to'"),
+    (edited(put(["edges", "c_in", "from"], ["c_in"])), "edges['c_in'].from: endpoint must be an object, got list"),
+    (edited(put(["edges", "c_in", "from"], {"oops": 1})),
+     "edges['c_in'].from: endpoint needs keys node/port or terminal/side, got ['oops']"),
+    (edited(put(["edges", "c_in", "to", "side"], "past")),
+     "edges['c_in'].to: endpoint needs keys node/port or terminal/side, got ['node', 'port', 'side']"),
+    (edited(put(["edges", "c_in", "to", "node"], 1)), "edges['c_in'].to.node: must be a string, got int"),
+    (edited(put(["edges", "c_in", "to", "port"], None)), "edges['c_in'].to.port: must be a string, got NoneType"),
+    (edited(put(["edges", "c_in", "to", "port"], "in3")), "edges['c_in'].to: unknown port 'in3'"),
+    (edited(put(["edges", "c_in", "from", "terminal"], ["c_in"])),
+     "edges['c_in'].from.terminal: must be a string, got list"),
+    (edited(put(["edges", "c_in", "from", "side"], "sideways")),
+     "edges['c_in'].from: side must be 'past' or 'future', got 'sideways'"),
+    (edited(put(["roles"], [])), "'roles' must map edge ids to roles"),
+    (edited(put(["roles", "c_in"], "boss")), "roles['c_in']: unknown role 'boss'"),
+    (edited(put(["roles", "ghost"], "hidden")), "roles['ghost']: no such edge"),
+    (edited(drop("roles", "c_in")), "roles: missing entry for edge 'c_in'"),
+    (edited(put(["assignment"], [])), "'assignment' must map edge ids to flavors"),
+    (edited(put(["assignment", "ghost"], "A")), "assignment['ghost']: no such edge"),
+    (edited(put(["assignment", "c_in"], "X")), "assignment['c_in']: unknown flavor 'X'"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS)
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as error:
+        parse_scenario_document(text)
+    assert str(error.value) == message
+
+
+def test_violation_messages():
+    nodes = {"p": PRODUCTION, "q": PRODUCTION, "a": ANNIHILATION, "z": "fusion"}
+    edges = {
+        "e1": Edge(Endpoint.at_terminal("e1", FUTURE), Endpoint.at_port("p", "in1")),
+        "e2": Edge(Endpoint.at_port("p", "out1"), Endpoint.at_port("q", "in1")),
+        "e3": Edge(Endpoint.at_port("p", "in2"), Endpoint.at_terminal("e3", PAST)),
+        "e4": Edge(Endpoint.at_port("ghost", "out1"), Endpoint.at_port("a", "in1")),
+        "e5": Edge(Endpoint.at_port("a", "out1"), Endpoint.at_port("p", "in1")),
+        "e6": Edge(Endpoint.at_port("q", "out1"), Endpoint.at_port("a", "out1")),
+    }
+    assert [str(v) for v in validate_topology(Structure(nodes, edges))] == [
+        "bad-kind [z]: unknown node kind 'fusion'",
+        "bad-direction [e1]: source terminal must be on the past side",
+        "bad-port [e3]: source port 'in2' does not exist on production node 'p'",
+        "bad-direction [e3]: source must be an out-port, got 'in2'",
+        "bad-direction [e3]: target terminal must be on the future side",
+        "unknown-node [e4]: source references missing node 'ghost'",
+        "bad-direction [e6]: target must be an in-port, got 'out1'",
+        "port-unused [a]: port 'in2' has no edge",
+        "port-conflict [a]: port 'out1' used by edges e5, e6",
+        "port-conflict [p]: port 'in1' used by edges e1, e5",
+        "port-unused [p]: port 'out2' has no edge",
+        "port-unused [q]: port 'out2' has no edge",
+        "alternation [e2]: links two production nodes (p -> q)",
+        "cycle [a,p,q]: directed cycle through these nodes",
+    ]
+
+
+def test_invalid_structure_error_message():
+    with pytest.raises(InvalidStructureError) as error:
+        parse_scenario(edited(put(["roles", "c_in"], "hidden")))
+    assert str(error.value) == "role-mismatch [c_in]: declared 'hidden' but topology gives 'intervention'"
+    nodes = {"p": PRODUCTION}
+    edges = {"in": Edge(Endpoint.at_terminal("in", PAST), Endpoint.at_port("p", "in1"))}
+    with pytest.raises(InvalidStructureError) as error:
+        parse_scenario(serialize_scenario(Scenario.derive(Structure(nodes, edges))))
+    assert str(error.value) == "port-unused [p]: port 'out1' has no edge; port-unused [p]: port 'out2' has no edge"
