@@ -7,13 +7,12 @@ here as exact set differences over exhaustive solution sets, along with the
 symmetry-class reduction of the 27 input triples to 4 and the check that no
 choice of inputs ever strands a chain without a completion. That check
 enumerates no inputs: `solver.has_stranding_input` decides it for all of
-them at once, and pinning one input at a time finds the least counterexample.
+them at once, and pinning the inputs a run at a time finds the least counterexample.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .model import (
@@ -78,16 +77,14 @@ class NonlocalWitness(NamedTuple):
     new_outputs: frozenset[str]
 
 
-@dataclass
-class StateTable:
+class StateTable(NamedTuple):
     """Allowed hidden states per canonical input class; 4 rows, 3 columns."""
 
     columns: tuple[HiddenState, ...]
     rows: dict[InputTriple, dict[HiddenState, bool]]
 
 
-@dataclass
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     """Outcome of an exhaustive all-inputs completability check."""
 
     family: str
@@ -209,25 +206,35 @@ def check_all_inputs(scenario: Scenario, family: str = "scenario") -> Consistenc
 
     Assignments are ranked lexicographically over the sorted edges: the
     counterexample is the least one and `checked` its rank, else all 3^n.
+    It is built one run of A's and one other flavor at a time: the inputs
+    so far have a stranding extension, and so have they followed by j A's
+    for every j up to the longest such run, which a binary search finds.
     """
     structure, edges = scenario.structure, intervention_edges(scenario)
     if not has_stranding_input(structure, {}, edges):
         return ConsistencyReport(family, None, 3 ** len(edges), None)
     inputs: Assignment = {}
     rank = 0
-    for i, edge in enumerate(edges):
-        if i == 0 or inputs[edges[i - 1]] != FLAVORS[0]:
-            # a new prefix: its all-A extension is its least, so if that strands it is the answer
-            least = {**inputs, **dict.fromkeys(edges[i:], FLAVORS[0])}
-            if has_stranding_input(structure, least, ()):
-                inputs, rank = least, rank * 3 ** (len(edges) - i)
-                break
-        for k, flavor in enumerate(FLAVORS):  # the least under which some extension strands
-            inputs[edge] = flavor
-            # some extension of the prefix strands, so if no other flavor leads to one the last does
-            if k == len(FLAVORS) - 1 or has_stranding_input(structure, inputs, edges[i + 1:]):
-                break
-        rank = 3 * rank + k
+    while len(inputs) < len(edges):
+        i = len(inputs)
+
+        def strands(run: int) -> bool:  # whether the inputs, then `run` A's, extend to stranding ones
+            prefix = {**inputs, **dict.fromkeys(edges[i:i + run], FLAVORS[0])}
+            return has_stranding_input(structure, prefix, edges[i + run:])
+
+        low, high = 0, len(edges) - i  # strands(low) holds
+        if strands(high):  # the all-A extension is the least, so it is the answer
+            low = high
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (mid, high) if strands(mid) else (low, mid)
+        inputs.update(dict.fromkeys(edges[i:i + low], FLAVORS[0]))
+        rank *= 3 ** low
+        if low < high:  # an A next strands nothing: B if some extension then strands, else C
+            inputs[edges[i + low]] = FLAVORS[1]
+            k = 1 if has_stranding_input(structure, inputs, edges[i + low + 1:]) else 2
+            inputs[edges[i + low]] = FLAVORS[k]
+            rank = 3 * rank + k
     return ConsistencyReport(family, None, rank + 1, (scenario, inputs))
 
 

@@ -5,6 +5,9 @@ with --output json, or as aligned text by default). Exit codes: 0 success,
 1 domain failure (empty support, structure validation, failed sweep) or an
 internal error (one `error: internal:` line, no traceback), 2 usage or
 parse error. Everything is deterministic; there is no seed flag.
+
+A call loads only what its command uses: each handler imports its own
+analysis modules when it runs, and parsing the arguments loads none.
 """
 
 from __future__ import annotations
@@ -13,27 +16,14 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from . import analysis, loops, prob
-from .model import FLAVORS, HiddenState, check_flavor
-from .render import FORMATS, render
-from .solver import complete, count_completions
-from .structure import (
-    InvalidStructureError,
-    Scenario,
-    build_chain,
-    build_h_cell,
-    parse_scenario_document,
-)
+from .model import FLAVORS, FORMATS, EmptySupportError, HiddenState, InvalidStructureError, check_flavor
 
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class CommandResult:
+class CommandResult(NamedTuple):
     exit_code: int
     payload: Optional[dict]
 
@@ -46,8 +36,9 @@ def _flavor(text: str) -> str:
 
 
 def _channel(text: str) -> str:
+    from .loops import parse_channel
     try:
-        loops.parse_channel(text)
+        parse_channel(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     return text
@@ -59,10 +50,6 @@ def _hidden_key(h: HiddenState) -> str:
 
 def _hidden_text(h: HiddenState) -> str:
     return f"<{h[0]}{h[1]}>"
-
-
-def _rational(x: Fraction) -> str:
-    return str(x)
 
 
 @contextmanager
@@ -91,14 +78,16 @@ def _parse_assignments(pairs: Optional[list[str]]) -> dict[str, str]:
     return out
 
 
-def _load_scenario(path: str) -> tuple[Scenario, dict[str, str]]:
+def _load_scenario(path: str):
+    from .structure import parse_scenario_document
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     scenario, embedded = parse_scenario_document(text)
     return scenario, embedded or {}
 
 
-def _builder(name: str) -> Scenario:
+def _builder(name: str):
+    from .structure import build_chain, build_h_cell
     if name == "h-cell":
         return build_h_cell()
     if name.startswith("chain:"):
@@ -114,6 +103,7 @@ def _builder(name: str) -> Scenario:
 
 
 def _cmd_table(args) -> tuple[dict, list[str], int]:
+    from . import analysis
     table = analysis.state_table()
     rows = [
         {"inputs": t.label(), "allowed": {_hidden_key(h): allowed[h] for h in table.columns}}
@@ -128,11 +118,13 @@ def _cmd_table(args) -> tuple[dict, list[str], int]:
     return body, lines, 0
 
 
-def _triple_from_args(args) -> analysis.InputTriple:
-    return analysis.InputTriple(args.left, args.center, args.right)
+def _triple_from_args(args):
+    from .analysis import InputTriple
+    return InputTriple(args.left, args.center, args.right)
 
 
 def _cmd_hidden(args) -> tuple[dict, list[str], int]:
+    from . import analysis
     triple = _triple_from_args(args)
     states = sorted(analysis.hidden_state_set(triple))
     body = {"inputs": triple.label(), "hidden_states": [_hidden_key(h) for h in states]}
@@ -140,11 +132,13 @@ def _cmd_hidden(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_classes(args) -> tuple[dict, list[str], int]:
+    from . import analysis
     classes = analysis.input_classes()
     return {"classes": [t.label() for t in classes]}, [t.label() for t in classes], 0
 
 
 def _cmd_canon(args) -> tuple[dict, list[str], int]:
+    from . import analysis
     triple = _triple_from_args(args)
     canonical, transform = analysis.canonicalize_inputs(triple)
     perm = "".join(transform.permutation[f] for f in FLAVORS)
@@ -166,6 +160,7 @@ def _format_hidden_set(states) -> str:
 
 
 def _cmd_retro(args) -> tuple[dict, list[str], int]:
+    from . import analysis
     witnesses = analysis.retro_witnesses()
     body = {
         "witnesses": [
@@ -188,6 +183,7 @@ def _cmd_retro(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_nonlocal(args) -> tuple[dict, list[str], int]:
+    from . import analysis
     witnesses = analysis.nonlocality_witnesses()
     body = {
         "witnesses": [
@@ -211,6 +207,7 @@ def _cmd_nonlocal(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_consistency(args) -> tuple[dict, list[str], int]:
+    from . import analysis
     if args.structure:
         scenario, _ = _load_scenario(args.structure)
         report = analysis.check_all_inputs(scenario, family=f"file:{args.structure}")
@@ -242,6 +239,7 @@ def _cmd_consistency(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_loop(args) -> tuple[dict, list[str], int]:
+    from . import loops
     channel = loops.parse_channel(args.channel)
     solutions = loops.solve_loop(args.left, args.center, channel)
     body = {
@@ -266,6 +264,7 @@ def _cmd_loop(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_loop_sweep(args) -> tuple[dict, list[str], int]:
+    from . import loops
     report = loops.loop_universality()
     body = {
         "total": report.total,
@@ -279,6 +278,7 @@ def _cmd_loop_sweep(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_loop_exclusions(args) -> tuple[dict, list[str], int]:
+    from . import loops
     channel = loops.parse_channel(args.channel)
     excluded = sorted(loops.loop_exclusions(args.left, args.center, channel))
     body = {
@@ -291,6 +291,8 @@ def _cmd_loop_exclusions(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_prob(args) -> tuple[dict, list[str], int]:
+    from . import prob
+    from .structure import build_h_cell
     cell = build_h_cell()
     triple = _triple_from_args(args)
     inputs = {"l_in": triple.left, "c_in": triple.center, "r_in": triple.right}
@@ -300,25 +302,27 @@ def _cmd_prob(args) -> tuple[dict, list[str], int]:
         body = {
             "inputs": triple.label(),
             "edge": args.marginal,
-            "distribution": {f: _rational(dist_edge[f]) for f in FLAVORS},
+            "distribution": {f: str(dist_edge[f]) for f in FLAVORS},
         }
-        text = f"{args.marginal}: " + "  ".join(f"{f}={_rational(dist_edge[f])}" for f in FLAVORS)
+        text = f"{args.marginal}: " + "  ".join(f"{f}={dist_edge[f]}" for f in FLAVORS)
         return body, [text], 0
     body = {
         "inputs": triple.label(),
         "support": [
-            {"assignment": dict(sorted(a.items())), "probability": _rational(p)}
+            {"assignment": dict(sorted(a.items())), "probability": str(p)}
             for a, p in dist.support
         ],
     }
     lines = [
-        f"p={_rational(p)}  " + " ".join(f"{k}={v}" for k, v in sorted(a.items()))
+        f"p={p}  " + " ".join(f"{k}={v}" for k, v in sorted(a.items()))
         for a, p in dist.support
     ]
     return body, lines, 0
 
 
 def _cmd_signal(args) -> tuple[dict, list[str], int]:
+    from . import prob
+    from .structure import build_h_cell
     cell = build_h_cell()
     context = {"l_in": args.left, "c_in": args.center}
     if args.remote in context:
@@ -328,12 +332,13 @@ def _cmd_signal(args) -> tuple[dict, list[str], int]:
         "target": args.target,
         "remote": args.remote,
         "context": dict(sorted(context.items())),
-        "score": _rational(score),
+        "score": str(score),
     }
-    return body, [f"score = {_rational(score)}"], 0
+    return body, [f"score = {score}"], 0
 
 
 def _cmd_epistemic(args) -> tuple[dict, list[str], int]:
+    from . import prob
     known = {}
     if args.l_in:
         known["l_in"] = args.l_in
@@ -343,13 +348,14 @@ def _cmd_epistemic(args) -> tuple[dict, list[str], int]:
     body = {
         "center": args.center,
         "known": dict(sorted(known.items())),
-        "weights": {_hidden_key(h): _rational(w) for h, w in sorted(weights.items())},
+        "weights": {_hidden_key(h): str(w) for h, w in sorted(weights.items())},
     }
-    lines = [f"{_hidden_text(h)} = {_rational(w)}" for h, w in sorted(weights.items())]
+    lines = [f"{_hidden_text(h)} = {w}" for h, w in sorted(weights.items())]
     return body, lines, 0
 
 
 def _cmd_solve(args) -> tuple[dict, list[str], int]:
+    from .solver import complete, count_completions
     scenario, embedded = _load_scenario(args.structure)
     assigned = {**embedded, **_parse_assignments(args.assign)}
     body: dict = {"file": args.structure, "assigned": dict(sorted(assigned.items()))}
@@ -369,6 +375,7 @@ def _cmd_solve(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_render(args) -> tuple[dict, list[str], int]:
+    from .render import render
     if args.structure:
         scenario, embedded = _load_scenario(args.structure)
     else:
@@ -488,7 +495,7 @@ def run(argv: list[str]) -> CommandResult:
 
     try:
         body, lines, exit_code = _HANDLERS[args.command](args)
-    except (InvalidStructureError, prob.EmptySupportError) as exc:
+    except (InvalidStructureError, EmptySupportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CommandResult(1, None)
     except OSError as exc:

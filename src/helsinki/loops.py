@@ -10,7 +10,6 @@ condition, not the result of any iterative dynamics.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import FLAVORS, HiddenState
@@ -45,8 +44,7 @@ class LoopSolution(NamedTuple):
     right_out: str
 
 
-@dataclass
-class LoopSweepReport:
+class LoopSweepReport(NamedTuple):
     """Solvability of every (channel, left input, center input) case."""
 
     total: int

@@ -7,6 +7,8 @@ split one edge into two, annihilation nodes merge two edges into one.
 
 Everything in this module is a pure function over immutable values; the
 fixed flavor order A < B < C is used for all deterministic output ordering.
+The two domain errors live here too, so that the CLI can map them to its
+exit codes without loading the layers that raise them.
 """
 
 from __future__ import annotations
@@ -17,12 +19,28 @@ from typing import Iterable
 Flavor = str
 HiddenState = tuple[str, str]
 Permutation = dict[str, str]
+#: edge id -> flavor, total or partial
+Assignment = dict[str, str]
 
 FLAVORS: tuple[str, ...] = ("A", "B", "C")
+#: the diagram formats of `render.render`
+FORMATS = ("graph", "ascii")
 
 PRODUCTION = "production"
 ANNIHILATION = "annihilation"
 NODE_KINDS = (PRODUCTION, ANNIHILATION)
+
+
+class InvalidStructureError(Exception):
+    """A structure whose topology violates the composition rules."""
+
+    def __init__(self, violations: list):
+        self.violations = list(violations)
+        super().__init__("; ".join(str(v) for v in self.violations))
+
+
+class EmptySupportError(Exception):
+    """The requested inputs admit no completion at all."""
 
 
 def check_flavor(value: str) -> str:

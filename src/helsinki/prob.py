@@ -10,22 +10,16 @@ rational; distributions serialize as strings like "1/3", never floats.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .analysis import InputTriple, hidden_state_set
-from .model import FLAVORS, HiddenState, production_completions
-from .solver import Assignment, complete
+from .model import FLAVORS, Assignment, EmptySupportError, HiddenState, production_completions
+from .solver import complete
 from .structure import INTERVENTION, OBSERVATION, Scenario, intervention_edges
 
 
-class EmptySupportError(Exception):
-    """The requested inputs admit no completion at all."""
-
-
-@dataclass
-class CompletionDistribution:
+class CompletionDistribution(NamedTuple):
     """Uniform distribution over the admissible completions of some inputs."""
 
     support: list[tuple[Assignment, Fraction]]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .solver import Assignment
+from .model import FORMATS, Assignment
 from .structure import (
     HIDDEN,
     Endpoint,
@@ -21,8 +21,6 @@ from .structure import (
     Scenario,
     node_order,
 )
-
-FORMATS = ("graph", "ascii")
 
 
 def render(scenario: Scenario, assignment: Optional[Assignment] = None, fmt: str = "ascii") -> str:

@@ -37,18 +37,14 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Collection, NamedTuple, Optional, Sequence
 
-from .model import FLAVORS, PRODUCTION, annihilation_output, node_admissible, production_completions
+from .model import FLAVORS, PRODUCTION, Assignment, annihilation_output, node_admissible, production_completions
 from .structure import IN_PORTS, OUT_PORTS, Structure, memo, node_order
 
-Assignment = dict[str, str]
 
-
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     """Canonically ordered solutions plus a search-effort counter.
 
     `explored` counts the candidate values a full search examines: three
@@ -101,7 +97,6 @@ _MERGES = {(a, b): (annihilation_output(a, b), a == b) for a in FLAVORS for b in
 
 
 class _Plan:
-    # a plain class: a dataclass would add half a millisecond to every import
     __slots__ = ("edge_ids", "index", "steps", "counter")
 
     def __init__(self, edge_ids: list[str], index: dict[str, int], steps: tuple[tuple[int, ...], ...]) -> None:

@@ -18,11 +18,10 @@ from __future__ import annotations
 import heapq
 import json
 import weakref
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, NamedTuple, Optional
 
-from .model import ANNIHILATION, FLAVORS, NODE_KINDS, PRODUCTION
+from .model import ANNIHILATION, FLAVORS, NODE_KINDS, PRODUCTION, InvalidStructureError
 
 PAST = "past"
 FUTURE = "future"
@@ -53,8 +52,7 @@ class ParseError(ValueError):
     """Malformed scenario text; the message carries line/field diagnostics."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken structural invariant, naming the offending node or edge."""
 
     code: str
@@ -63,14 +61,6 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.code} [{self.subject}]: {self.message}"
-
-
-class InvalidStructureError(Exception):
-    """A structure whose topology violates the composition rules."""
-
-    def __init__(self, violations: list[Violation]):
-        self.violations = list(violations)
-        super().__init__("; ".join(str(v) for v in self.violations))
 
 
 class Endpoint(NamedTuple):
@@ -120,20 +110,32 @@ class Endpoint(NamedTuple):
         return Endpoint.at_terminal(obj["terminal"], obj["side"])
 
 
-@dataclass
-class Edge:
+class Edge(NamedTuple):
     """A directed edge from a source endpoint to a target endpoint."""
 
     source: Endpoint
     target: Endpoint
 
 
-@dataclass
 class Structure:
-    """Typed node map plus directed edge map over ports and terminals."""
+    """Typed node map plus directed edge map over ports and terminals.
 
-    nodes: dict[str, str]
-    edges: dict[str, Edge]
+    Equal when both maps are equal, and unhashable, like the maps."""
+
+    __slots__ = ("nodes", "edges", "__weakref__")  # `memo` drops an entry through a weak reference
+    __hash__ = None
+
+    def __init__(self, nodes: dict[str, str], edges: dict[str, Edge]) -> None:
+        self.nodes = nodes
+        self.edges = edges
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.nodes == other.nodes and self.edges == other.edges
+
+    def __repr__(self) -> str:
+        return f"Structure(nodes={self.nodes!r}, edges={self.edges!r})"
 
     def edge_ids(self) -> list[str]:
         return sorted(self.edges)
@@ -294,12 +296,11 @@ def derive_roles(structure: Structure) -> dict[str, str]:
     return roles
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     """A structure plus the intervention/observation/hidden reading of it."""
 
     structure: Structure
-    roles: dict[str, str] = field(default_factory=dict)
+    roles: dict[str, str]
 
     @staticmethod
     def derive(structure: Structure) -> "Scenario":

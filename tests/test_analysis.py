@@ -307,6 +307,41 @@ def test_an_all_a_counterexample_takes_two_runs(monkeypatch):
     assert len(runs) == 2
 
 
+def late_b(k):
+    """chain:k with its last left hidden edge and left output relabelled as
+    interventions: past one cell, the least stranding input is all A but
+    `l_out.k = B`, whose B comes after about half of the inputs."""
+    suffix = f".{k}" if k > 1 else ""
+    return relabelled(build_chain(k), f"h_left{suffix}", f"l_out{suffix}")
+
+
+def test_a_late_b_matches_the_enumerating_oracle(sweep_by_enumeration):
+    for k in range(1, 5):
+        scenario = late_b(k)
+        checked, inputs = sweep_by_enumeration(scenario)
+        report = check_all_inputs(scenario)
+        assert (report.checked, report.counterexample) == (checked, (scenario, inputs))
+        # on the cell alone the all-A input strands already
+        assert [e for e, v in inputs.items() if v != "A"] == ([f"l_out.{k}"] if k > 1 else [])
+
+
+def test_a_late_b_takes_logarithmically_many_runs(monkeypatch):
+    # one run to find that some input strands; then, for the run of A's
+    # before the B and for the one after it, a binary search over its length
+    # and one run for the flavor that ends it
+    runs = []
+    decide = solver.has_stranding_input
+    monkeypatch.setattr(analysis, "has_stranding_input", lambda *args: runs.append(args) or decide(*args))
+    scenario = late_b(80)
+    report = check_all_inputs(scenario)
+    inputs = report.counterexample[1]
+    edges = intervention_edges(scenario)
+    assert len(edges) == 163 and edges.index("l_out.80") == 82
+    assert [e for e, v in inputs.items() if v != "A"] == ["l_out.80"] and len(inputs) == 163
+    assert report.checked == 3 ** 80 + 1
+    assert len(runs) <= 1 + 2 * (len(edges).bit_length() + 1)
+
+
 def test_unknown_inputs_keep_the_search_message():
     cell = build_h_cell()
     scenario = Scenario(cell.structure, {**cell.roles, "ghost": INTERVENTION})

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from helsinki import analysis, cli
+from helsinki import analysis, cli, solver
 from helsinki.cli import run
 from helsinki.structure import build_chain, build_h_cell, serialize_scenario
 
@@ -295,7 +295,7 @@ def test_count_only_prints_every_digit(monkeypatch, capsys, cell_file, output):
     # past the interpreter's default int-to-text limit of 4300 digits
     huge = 10**5000
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    monkeypatch.setattr(cli, "count_completions", lambda structure, partial: huge)
+    monkeypatch.setattr(solver, "count_completions", lambda structure, partial: huge)
     result = run(["--output", output, "solve", "--structure", cell_file, "--count-only"])
     assert result.exit_code == 0
     out = capsys.readouterr().out
