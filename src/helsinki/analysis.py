@@ -8,11 +8,15 @@ symmetry-class reduction of the 27 input triples to 4 and the check that no
 choice of inputs ever strands a chain without a completion. That check
 enumerates no inputs: `solver.has_stranding_input` decides it for all of
 them at once, and pinning the inputs a run at a time finds the least counterexample.
+The cell is solved once per input triple per process (`cell_solutions`);
+every cell-level analysis here and in `prob` and `loops` reads that table.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .model import (
@@ -109,10 +113,18 @@ def reflect_triple(t: InputTriple) -> InputTriple:
     return InputTriple(t.right, t.center, t.left)
 
 
+@functools.cache
+def cell_solutions(t: InputTriple) -> tuple[MappingProxyType, ...]:
+    """The basic cell's admissible assignments under the given inputs, in
+    canonical order. Each triple is solved once per process and the result
+    is shared by every caller, so it is a tuple of read-only mappings."""
+    result = complete(_CELL.structure, {"l_in": t.left, "c_in": t.center, "r_in": t.right})
+    return tuple(MappingProxyType(a) for a in result.solutions)
+
+
 def hidden_state_set(t: InputTriple) -> set[HiddenState]:
     """Hidden (left, right) pairs admissible under the given inputs."""
-    result = complete(_CELL.structure, {"l_in": t.left, "c_in": t.center, "r_in": t.right})
-    return {(a["h_left"], a["h_right"]) for a in result.solutions}
+    return {(a["h_left"], a["h_right"]) for a in cell_solutions(t)}
 
 
 def canonicalize_inputs(t: InputTriple) -> tuple[InputTriple, Transform]:
@@ -154,50 +166,44 @@ def state_table() -> StateTable:
     return StateTable(columns, rows)
 
 
+def _wing_changes():
+    """Every input triple with one wing input changed, as (base, side, new
+    value, changed triple), ordered by base triple, side, then new value."""
+    for base in ALL_INPUT_TRIPLES:
+        for side in ("left", "right"):
+            for new_value in FLAVORS:
+                if new_value != getattr(base, side):
+                    yield base, side, new_value, base._replace(**{side: new_value})
+
+
 def retro_witnesses() -> list[RetroWitness]:
     """Every single wing-input change that alters the hidden-state set.
 
     Ordered lexicographically by (base triple, changed side, new value).
     """
     witnesses = []
-    for base in ALL_INPUT_TRIPLES:
+    for base, side, new_value, varied in _wing_changes():
         base_set = hidden_state_set(base)
-        for side in ("left", "right"):
-            for new_value in FLAVORS:
-                if new_value == getattr(base, side):
-                    continue
-                varied_set = hidden_state_set(base._replace(**{side: new_value}))
-                if varied_set != base_set:
-                    witnesses.append(
-                        RetroWitness(
-                            base,
-                            side,
-                            new_value,
-                            frozenset(base_set - varied_set),
-                            frozenset(varied_set - base_set),
-                        )
-                    )
+        varied_set = hidden_state_set(varied)
+        if varied_set != base_set:
+            lost, gained = frozenset(base_set - varied_set), frozenset(varied_set - base_set)
+            witnesses.append(RetroWitness(base, side, new_value, lost, gained))
     return witnesses
 
 
 def _output_set(t: InputTriple, edge: str) -> frozenset[str]:
-    result = complete(_CELL.structure, {"l_in": t.left, "c_in": t.center, "r_in": t.right})
-    return frozenset(a[edge] for a in result.solutions)
+    return frozenset(a[edge] for a in cell_solutions(t))
 
 
 def nonlocality_witnesses() -> list[NonlocalWitness]:
     """Every single wing-input change that alters the far wing's admissible
     output flavors. Same canonical ordering as the retro list."""
     witnesses = []
-    for base in ALL_INPUT_TRIPLES:
-        for side, remote in (("left", "r_out"), ("right", "l_out")):
-            old = _output_set(base, remote)
-            for new_value in FLAVORS:
-                if new_value == getattr(base, side):
-                    continue
-                new = _output_set(base._replace(**{side: new_value}), remote)
-                if new != old:
-                    witnesses.append(NonlocalWitness(base, side, new_value, remote, old, new))
+    for base, side, new_value, varied in _wing_changes():
+        remote = "r_out" if side == "left" else "l_out"
+        old, new = _output_set(base, remote), _output_set(varied, remote)
+        if new != old:
+            witnesses.append(NonlocalWitness(base, side, new_value, remote, old, new))
     return witnesses
 
 

@@ -1,7 +1,8 @@
 """Command-line surface: one subcommand per analysis.
 
-Every invocation produces a single structured document (printed as JSON
-with --output json, or as aligned text by default). Exit codes: 0 success,
+Every invocation produces a single structured document, printed as JSON
+with --output json; the aligned text printed by default is a view of that
+document, one function per command in `_TEXT`. Exit codes: 0 success,
 1 domain failure (empty support, structure validation, failed sweep) or an
 internal error (one `error: internal:` line, no traceback), 2 usage or
 parse error. Everything is deterministic; there is no seed flag.
@@ -18,7 +19,7 @@ import sys
 from contextlib import contextmanager
 from typing import NamedTuple, Optional
 
-from .model import FLAVORS, FORMATS, EmptySupportError, HiddenState, InvalidStructureError, check_flavor
+from .model import FLAVORS, FORMATS, EmptySupportError, InvalidStructureError, check_flavor
 
 SCHEMA_VERSION = 1
 
@@ -42,14 +43,6 @@ def _channel(text: str) -> str:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     return text
-
-
-def _hidden_key(h: HiddenState) -> str:
-    return f"{h[0]}{h[1]}"
-
-
-def _hidden_text(h: HiddenState) -> str:
-    return f"<{h[0]}{h[1]}>"
 
 
 @contextmanager
@@ -99,23 +92,17 @@ def _builder(name: str):
     raise ValueError(f"unknown builder {name!r}; expected h-cell or chain:K")
 
 
-# --- handlers: each returns (payload body, text lines, exit code) ---
+# --- handlers: each returns (payload body, exit code) ---
 
 
-def _cmd_table(args) -> tuple[dict, list[str], int]:
+def _cmd_table(args) -> tuple[dict, int]:
     from . import analysis
     table = analysis.state_table()
     rows = [
-        {"inputs": t.label(), "allowed": {_hidden_key(h): allowed[h] for h in table.columns}}
+        {"inputs": t.label(), "allowed": {"".join(h): allowed[h] for h in table.columns}}
         for t, allowed in table.rows.items()
     ]
-    body = {"columns": [_hidden_key(h) for h in table.columns], "rows": rows}
-    header = ["inputs"] + [_hidden_text(h) for h in table.columns]
-    lines = ["  ".join(f"{cell:<6}" for cell in header).rstrip()]
-    for t, allowed in table.rows.items():
-        cells = [t.label()] + ["yes" if allowed[h] else "no" for h in table.columns]
-        lines.append("  ".join(f"{cell:<6}" for cell in cells).rstrip())
-    return body, lines, 0
+    return {"columns": ["".join(h) for h in table.columns], "rows": rows}, 0
 
 
 def _triple_from_args(args):
@@ -123,43 +110,32 @@ def _triple_from_args(args):
     return InputTriple(args.left, args.center, args.right)
 
 
-def _cmd_hidden(args) -> tuple[dict, list[str], int]:
+def _cmd_hidden(args) -> tuple[dict, int]:
     from . import analysis
     triple = _triple_from_args(args)
     states = sorted(analysis.hidden_state_set(triple))
-    body = {"inputs": triple.label(), "hidden_states": [_hidden_key(h) for h in states]}
-    return body, [f"{triple.label()}: " + " ".join(_hidden_text(h) for h in states)], 0
+    return {"inputs": triple.label(), "hidden_states": ["".join(h) for h in states]}, 0
 
 
-def _cmd_classes(args) -> tuple[dict, list[str], int]:
+def _cmd_classes(args) -> tuple[dict, int]:
     from . import analysis
-    classes = analysis.input_classes()
-    return {"classes": [t.label() for t in classes]}, [t.label() for t in classes], 0
+    return {"classes": [t.label() for t in analysis.input_classes()]}, 0
 
 
-def _cmd_canon(args) -> tuple[dict, list[str], int]:
+def _cmd_canon(args) -> tuple[dict, int]:
     from . import analysis
     triple = _triple_from_args(args)
     canonical, transform = analysis.canonicalize_inputs(triple)
-    perm = "".join(transform.permutation[f] for f in FLAVORS)
     body = {
         "inputs": triple.label(),
         "canonical": canonical.label(),
-        "permutation": perm,
+        "permutation": "".join(transform.permutation[f] for f in FLAVORS),
         "reflected": transform.reflected,
     }
-    text = (
-        f"{triple.label()} -> {canonical.label()}"
-        f"  (permutation {perm}, reflected {'yes' if transform.reflected else 'no'})"
-    )
-    return body, [text], 0
+    return body, 0
 
 
-def _format_hidden_set(states) -> str:
-    return " ".join(_hidden_text(h) for h in sorted(states)) or "(none)"
-
-
-def _cmd_retro(args) -> tuple[dict, list[str], int]:
+def _cmd_retro(args) -> tuple[dict, int]:
     from . import analysis
     witnesses = analysis.retro_witnesses()
     body = {
@@ -168,52 +144,31 @@ def _cmd_retro(args) -> tuple[dict, list[str], int]:
                 "base": w.base.label(),
                 "changed_input": w.changed_input,
                 "new_value": w.new_value,
-                "lost": [_hidden_key(h) for h in sorted(w.lost_hidden)],
-                "gained": [_hidden_key(h) for h in sorted(w.gained_hidden)],
+                "lost": ["".join(h) for h in sorted(w.lost_hidden)],
+                "gained": ["".join(h) for h in sorted(w.gained_hidden)],
             }
             for w in witnesses
         ]
     }
-    lines = [
-        f"{w.base.label()} {w.changed_input}->{w.new_value}"
-        f"  lost: {_format_hidden_set(w.lost_hidden)}  gained: {_format_hidden_set(w.gained_hidden)}"
-        for w in witnesses
-    ]
-    return body, lines, 0
+    return body, 0
 
 
-def _cmd_nonlocal(args) -> tuple[dict, list[str], int]:
+def _cmd_nonlocal(args) -> tuple[dict, int]:
     from . import analysis
-    witnesses = analysis.nonlocality_witnesses()
-    body = {
-        "witnesses": [
-            {
-                "base": w.base.label(),
-                "changed_input": w.changed_input,
-                "new_value": w.new_value,
-                "remote_edge": w.remote_edge,
-                "old_outputs": sorted(w.old_outputs),
-                "new_outputs": sorted(w.new_outputs),
-            }
-            for w in witnesses
-        ]
-    }
-    lines = [
-        f"{w.base.label()} {w.changed_input}->{w.new_value}"
-        f"  {w.remote_edge}: {{{','.join(sorted(w.old_outputs))}}} -> {{{','.join(sorted(w.new_outputs))}}}"
-        for w in witnesses
+    witnesses = [
+        {**w._asdict(), "base": w.base.label(), "old_outputs": sorted(w.old_outputs),
+         "new_outputs": sorted(w.new_outputs)}
+        for w in analysis.nonlocality_witnesses()
     ]
-    return body, lines, 0
+    return {"witnesses": witnesses}, 0
 
 
-def _cmd_consistency(args) -> tuple[dict, list[str], int]:
+def _cmd_consistency(args) -> tuple[dict, int]:
     from . import analysis
-    if args.structure:
+    if args.structure is not None:
         scenario, _ = _load_scenario(args.structure)
         report = analysis.check_all_inputs(scenario, family=f"file:{args.structure}")
     else:
-        if args.max_cells is None:
-            raise ValueError("consistency needs --max-cells or --structure")
         report = analysis.consistency_sweep(args.max_cells)
 
     counterexample = None
@@ -224,73 +179,31 @@ def _cmd_consistency(args) -> tuple[dict, list[str], int]:
             "nodes": len(scenario.structure.nodes),
             "edges": len(scenario.structure.edges),
         }
-    body = {
-        "family": report.family,
-        "max_cells": report.max_cells,
-        "checked": report.checked,
-        "counterexample": counterexample,
-    }
-    with _exact_digits():
-        head = f"family={report.family} checked={report.checked}"
-    if counterexample is None:
-        return body, [f"{head} counterexample=none"], 0
-    inputs_text = " ".join(f"{k}={v}" for k, v in sorted(report.counterexample[1].items()))
-    return body, [f"{head} counterexample: {inputs_text}"], 1
+    return {**report._asdict(), "counterexample": counterexample}, 0 if counterexample is None else 1
 
 
-def _cmd_loop(args) -> tuple[dict, list[str], int]:
+def _cmd_loop(args) -> tuple[dict, int]:
     from . import loops
-    channel = loops.parse_channel(args.channel)
-    solutions = loops.solve_loop(args.left, args.center, channel)
-    body = {
-        "left": args.left,
-        "center": args.center,
-        "channel": args.channel,
-        "solutions": [
-            {
-                "hidden": _hidden_key(s.hidden),
-                "left_out": s.left_out,
-                "right_in": s.right_in,
-                "right_out": s.right_out,
-            }
-            for s in solutions
-        ],
-    }
-    lines = [
-        f"{_hidden_text(s.hidden)}  left_out={s.left_out} right_in={s.right_in} right_out={s.right_out}"
-        for s in solutions
-    ] or ["no solutions"]
-    return body, lines, 0
+    solutions = loops.solve_loop(args.left, args.center, loops.parse_channel(args.channel))
+    solutions = [{**s._asdict(), "hidden": "".join(s.hidden)} for s in solutions]
+    return {"left": args.left, "center": args.center, "channel": args.channel, "solutions": solutions}, 0
 
 
-def _cmd_loop_sweep(args) -> tuple[dict, list[str], int]:
+def _cmd_loop_sweep(args) -> tuple[dict, int]:
     from . import loops
     report = loops.loop_universality()
-    body = {
-        "total": report.total,
-        "failures": [
-            {"channel": ch, "left": left, "center": center} for ch, left, center in report.failures
-        ],
-    }
-    lines = [f"cases={report.total} failures={len(report.failures)}"]
-    lines += [f"  FAIL channel={ch} left={left} center={center}" for ch, left, center in report.failures]
-    return body, lines, 0 if not report.failures else 1
+    failures = [{"channel": ch, "left": left, "center": center} for ch, left, center in report.failures]
+    return {"total": report.total, "failures": failures}, 0 if not failures else 1
 
 
-def _cmd_loop_exclusions(args) -> tuple[dict, list[str], int]:
+def _cmd_loop_exclusions(args) -> tuple[dict, int]:
     from . import loops
-    channel = loops.parse_channel(args.channel)
-    excluded = sorted(loops.loop_exclusions(args.left, args.center, channel))
-    body = {
-        "left": args.left,
-        "center": args.center,
-        "channel": args.channel,
-        "excluded": [_hidden_key(h) for h in excluded],
-    }
-    return body, [f"excluded: {_format_hidden_set(excluded)}"], 0
+    excluded = sorted(loops.loop_exclusions(args.left, args.center, loops.parse_channel(args.channel)))
+    excluded = ["".join(h) for h in excluded]
+    return {"left": args.left, "center": args.center, "channel": args.channel, "excluded": excluded}, 0
 
 
-def _cmd_prob(args) -> tuple[dict, list[str], int]:
+def _cmd_prob(args) -> tuple[dict, int]:
     from . import prob
     from .structure import build_h_cell
     cell = build_h_cell()
@@ -299,28 +212,13 @@ def _cmd_prob(args) -> tuple[dict, list[str], int]:
     dist = prob.completion_distribution(cell, inputs)
     if args.marginal:
         dist_edge = prob.marginal(dist, args.marginal)
-        body = {
-            "inputs": triple.label(),
-            "edge": args.marginal,
-            "distribution": {f: str(dist_edge[f]) for f in FLAVORS},
-        }
-        text = f"{args.marginal}: " + "  ".join(f"{f}={dist_edge[f]}" for f in FLAVORS)
-        return body, [text], 0
-    body = {
-        "inputs": triple.label(),
-        "support": [
-            {"assignment": dict(sorted(a.items())), "probability": str(p)}
-            for a, p in dist.support
-        ],
-    }
-    lines = [
-        f"p={p}  " + " ".join(f"{k}={v}" for k, v in sorted(a.items()))
-        for a, p in dist.support
-    ]
-    return body, lines, 0
+        distribution = {f: str(dist_edge[f]) for f in FLAVORS}
+        return {"inputs": triple.label(), "edge": args.marginal, "distribution": distribution}, 0
+    support = [{"assignment": dict(sorted(a.items())), "probability": str(p)} for a, p in dist.support]
+    return {"inputs": triple.label(), "support": support}, 0
 
 
-def _cmd_signal(args) -> tuple[dict, list[str], int]:
+def _cmd_signal(args) -> tuple[dict, int]:
     from . import prob
     from .structure import build_h_cell
     cell = build_h_cell()
@@ -334,56 +232,44 @@ def _cmd_signal(args) -> tuple[dict, list[str], int]:
         "context": dict(sorted(context.items())),
         "score": str(score),
     }
-    return body, [f"score = {score}"], 0
+    return body, 0
 
 
-def _cmd_epistemic(args) -> tuple[dict, list[str], int]:
+def _cmd_epistemic(args) -> tuple[dict, int]:
     from . import prob
-    known = {}
-    if args.l_in:
-        known["l_in"] = args.l_in
-    if args.r_in:
-        known["r_in"] = args.r_in
+    known = {edge: value for edge, value in (("l_in", args.l_in), ("r_in", args.r_in)) if value}
     weights = prob.epistemic_state(args.center, known)
     body = {
         "center": args.center,
         "known": dict(sorted(known.items())),
-        "weights": {_hidden_key(h): str(w) for h, w in sorted(weights.items())},
+        "weights": {"".join(h): str(w) for h, w in sorted(weights.items())},
     }
-    lines = [f"{_hidden_text(h)} = {w}" for h, w in sorted(weights.items())]
-    return body, lines, 0
+    return body, 0
 
 
-def _cmd_solve(args) -> tuple[dict, list[str], int]:
+def _cmd_solve(args) -> tuple[dict, int]:
     from .solver import complete, count_completions
     scenario, embedded = _load_scenario(args.structure)
     assigned = {**embedded, **_parse_assignments(args.assign)}
     body: dict = {"file": args.structure, "assigned": dict(sorted(assigned.items()))}
     if args.count_only:
-        count = count_completions(scenario.structure, assigned)
-        body["count"] = count
-        with _exact_digits():
-            line = f"count = {count}"
-        return body, [line], 0
+        body["count"] = count_completions(scenario.structure, assigned)
+        return body, 0
     result = complete(scenario.structure, assigned)
     body["count"] = len(result.solutions)
     body["explored"] = result.explored
     body["solutions"] = [dict(sorted(a.items())) for a in result.solutions]
-    lines = [f"solutions: {len(result.solutions)} (explored {result.explored} candidates)"]
-    lines += ["  " + " ".join(f"{k}={v}" for k, v in sorted(a.items())) for a in result.solutions]
-    return body, lines, 0
+    return body, 0
 
 
-def _cmd_render(args) -> tuple[dict, list[str], int]:
+def _cmd_render(args) -> tuple[dict, int]:
     from .render import render
     if args.structure:
         scenario, embedded = _load_scenario(args.structure)
     else:
         scenario, embedded = _builder(args.builder), {}
     assigned = {**embedded, **_parse_assignments(args.assign)}
-    diagram = render(scenario, assigned, args.format)
-    body = {"format": args.format, "diagram": diagram}
-    return body, [diagram.rstrip("\n")], 0
+    return {"format": args.format, "diagram": render(scenario, assigned, args.format)}, 0
 
 
 _HANDLERS = {
@@ -402,6 +288,82 @@ _HANDLERS = {
     "epistemic": _cmd_epistemic,
     "solve": _cmd_solve,
     "render": _cmd_render,
+}
+
+
+# --- text views: each turns a payload body into the lines printed without --output json ---
+
+
+def _states(keys: list[str]) -> str:
+    return " ".join(f"<{k}>" for k in keys)
+
+
+def _pairs(assignment: dict) -> str:
+    return " ".join(f"{k}={v}" for k, v in assignment.items())
+
+
+def _table_text(body: dict) -> list[str]:
+    def row(cells: list[str]) -> str:
+        return "  ".join(f"{cell:<6}" for cell in cells).rstrip()
+
+    columns = body["columns"]
+    lines = [row(["inputs"] + [f"<{h}>" for h in columns])]
+    lines += [row([r["inputs"]] + ["yes" if r["allowed"][h] else "no" for h in columns]) for r in body["rows"]]
+    return lines
+
+
+def _consistency_text(body: dict) -> list[str]:
+    head = f"family={body['family']} checked={body['checked']}"
+    if body["counterexample"] is None:
+        return [f"{head} counterexample=none"]
+    return [f"{head} counterexample: {_pairs(body['counterexample']['inputs'])}"]
+
+
+def _prob_text(body: dict) -> list[str]:
+    if "edge" in body:
+        return [f"{body['edge']}: " + "  ".join(f"{f}={p}" for f, p in body["distribution"].items())]
+    return [f"p={atom['probability']}  {_pairs(atom['assignment'])}" for atom in body["support"]]
+
+
+def _solve_text(body: dict) -> list[str]:
+    if "solutions" not in body:
+        return [f"count = {body['count']}"]
+    lines = [f"solutions: {body['count']} (explored {body['explored']} candidates)"]
+    return lines + [f"  {_pairs(a)}" for a in body["solutions"]]
+
+
+_TEXT = {
+    "table": _table_text,
+    "hidden": lambda body: [f"{body['inputs']}: {_states(body['hidden_states'])}"],
+    "classes": lambda body: body["classes"],
+    "canon": lambda body: [
+        f"{body['inputs']} -> {body['canonical']}"
+        f"  (permutation {body['permutation']}, reflected {'yes' if body['reflected'] else 'no'})"
+    ],
+    "retro": lambda body: [
+        f"{w['base']} {w['changed_input']}->{w['new_value']}"
+        f"  lost: {_states(w['lost']) or '(none)'}  gained: {_states(w['gained']) or '(none)'}"
+        for w in body["witnesses"]
+    ],
+    "nonlocal": lambda body: [
+        f"{w['base']} {w['changed_input']}->{w['new_value']}"
+        f"  {w['remote_edge']}: {{{','.join(w['old_outputs'])}}} -> {{{','.join(w['new_outputs'])}}}"
+        for w in body["witnesses"]
+    ],
+    "consistency": _consistency_text,
+    "loop": lambda body: [
+        f"<{s['hidden']}>  left_out={s['left_out']} right_in={s['right_in']} right_out={s['right_out']}"
+        for s in body["solutions"]
+    ] or ["no solutions"],
+    "loop-sweep": lambda body: [f"cases={body['total']} failures={len(body['failures'])}"] + [
+        f"  FAIL channel={f['channel']} left={f['left']} center={f['center']}" for f in body["failures"]
+    ],
+    "loop-exclusions": lambda body: [f"excluded: {_states(body['excluded']) or '(none)'}"],
+    "prob": _prob_text,
+    "signal": lambda body: [f"score = {body['score']}"],
+    "epistemic": lambda body: [f"<{h}> = {w}" for h, w in body["weights"].items()],
+    "solve": _solve_text,
+    "render": lambda body: [body["diagram"].rstrip("\n")],
 }
 
 
@@ -442,8 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("nonlocal", help="wing-input changes that alter the far wing's outputs")
 
     p = sub.add_parser("consistency", help="check every input assignment admits a completion")
-    p.add_argument("--max-cells", type=int, help="sweep chains of 1..K cells")
-    p.add_argument("--structure", help="sweep a structure file instead of the chain family")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--max-cells", type=int, help="sweep chains of 1..K cells")
+    group.add_argument("--structure", help="sweep a structure file instead of the chain family")
 
     p = sub.add_parser("loop", help="cell solutions under a left-output-to-right-input channel")
     _add_loop_flags(p)
@@ -494,14 +457,11 @@ def run(argv: list[str]) -> CommandResult:
         return CommandResult(code, None)
 
     try:
-        body, lines, exit_code = _HANDLERS[args.command](args)
+        body, exit_code = _HANDLERS[args.command](args)
     except (InvalidStructureError, EmptySupportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CommandResult(1, None)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CommandResult(2, None)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CommandResult(2, None)
     except Exception as exc:  # last resort: no input may end in a traceback
@@ -509,12 +469,12 @@ def run(argv: list[str]) -> CommandResult:
         return CommandResult(1, None)
 
     payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **body}
-    if args.output == "json":
-        with _exact_digits():
+    with _exact_digits():
+        if args.output == "json":
             print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+        else:
+            for line in _TEXT[args.command](body):
+                print(line)
     return CommandResult(exit_code, payload)
 
 

@@ -4,7 +4,9 @@ A channel is an external total function on flavors: whatever flavor comes
 out on the left wing fixes, through the channel, what goes in on the right
 wing. It is not part of the structure itself; solutions are simply the
 cell's admissible assignments that happen to satisfy the feedback
-condition, not the result of any iterative dynamics.
+condition, not the result of any iterative dynamics. They are read from
+`analysis.cell_solutions`, so the cell is solved once per input triple per
+process however many channels are checked.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
+from .analysis import InputTriple, cell_solutions, hidden_state_set
 from .model import FLAVORS, HiddenState
-from .solver import complete
-from .structure import build_h_cell
 
 Channel = dict[str, str]
 
@@ -51,9 +52,6 @@ class LoopSweepReport(NamedTuple):
     failures: list[tuple[str, str, str]]
 
 
-_CELL = build_h_cell()
-
-
 def solve_loop(left_in: str, center_in: str, channel: Channel) -> list[LoopSolution]:
     """Cell solutions whose right input equals the channel image of their
     left output, ordered by hidden state.
@@ -61,10 +59,10 @@ def solve_loop(left_in: str, center_in: str, channel: Channel) -> list[LoopSolut
     The feedback only filters the unconstrained solution set; channel
     values for left outputs that never occur are inert.
     """
-    result = complete(_CELL.structure, {"l_in": left_in, "c_in": center_in})
     solutions = [
         LoopSolution((a["h_left"], a["h_right"]), a["l_out"], a["r_in"], a["r_out"])
-        for a in result.solutions
+        for right_in in FLAVORS
+        for a in cell_solutions(InputTriple(left_in, center_in, right_in))
         if a["r_in"] == channel[a["l_out"]]
     ]
     return sorted(solutions)
@@ -73,8 +71,7 @@ def solve_loop(left_in: str, center_in: str, channel: Channel) -> list[LoopSolut
 def loop_exclusions(left_in: str, center_in: str, channel: Channel) -> set[HiddenState]:
     """Hidden states reachable with a free right input but killed by the
     feedback constraint."""
-    free = complete(_CELL.structure, {"l_in": left_in, "c_in": center_in})
-    baseline = {(a["h_left"], a["h_right"]) for a in free.solutions}
+    baseline = set().union(*(hidden_state_set(InputTriple(left_in, center_in, r)) for r in FLAVORS))
     looped = {s.hidden for s in solve_loop(left_in, center_in, channel)}
     return baseline - looped
 

@@ -189,6 +189,44 @@ def test_homogeneous_hidden_state_forces_left_output():
     assert by_hidden[AA]["l_out"] == "C"
 
 
+
+# --- the shared cell table ---
+
+
+def test_the_cell_is_solved_once_per_input_triple(monkeypatch):
+    from helsinki import loops, prob
+
+    calls = []
+    monkeypatch.setattr(analysis, "complete", lambda *args: calls.append(args) or solver.complete(*args))
+    analysis.cell_solutions.cache_clear()
+    state_table()
+    retro_witnesses()
+    nonlocality_witnesses()
+    loops.loop_universality()
+    for center in FLAVORS:
+        for known in ({}, {"l_in": "B"}, {"r_in": "C"}, {"l_in": "A", "r_in": "A"}):
+            prob.epistemic_state(center, known)
+    for t in ALL_INPUT_TRIPLES:
+        hidden_state_set(t)
+    assert len(calls) == 27  # 715 when each call site solved the cell itself
+
+
+def test_callers_cannot_change_the_cell_table():
+    from helsinki import loops
+
+    t, channel = InputTriple("B", "A", "B"), loops.parse_channel("ACB")
+    hidden_state_set(t).clear()
+    assert hidden_state_set(t) == {AA, BC, CB}
+    loops.solve_loop("A", "A", channel).clear()
+    assert [s.hidden for s in loops.solve_loop("A", "A", channel)] == [BC, CB]
+    loops.loop_exclusions("B", "A", loops.parse_channel("AAA")).clear()
+    assert loops.loop_exclusions("B", "A", loops.parse_channel("AAA")) == {AA}
+    with pytest.raises(TypeError):
+        analysis.cell_solutions(t)[0]["h_left"] = "B"
+    fresh = solver.complete(build_h_cell().structure, {"l_in": "B", "c_in": "A", "r_in": "B"})
+    assert list(analysis.cell_solutions(t)) == fresh.solutions
+
+
 # --- consistency ---
 
 

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from helsinki import analysis, cli, solver
+from helsinki import analysis, cli, loops, solver
 from helsinki.cli import run
 from helsinki.structure import build_chain, build_h_cell, serialize_scenario
 
@@ -108,6 +108,13 @@ def test_consistency_structure_file(cell_file):
 
 def test_consistency_needs_some_target():
     assert run(["consistency"]).exit_code == 2
+
+
+def test_consistency_takes_one_target_not_both(cell_file, capsys):
+    assert run(["consistency", "--max-cells", "1", "--structure", cell_file]).exit_code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
 
 
 @pytest.mark.parametrize("output", ["text", "json"])
@@ -310,6 +317,210 @@ def test_count_only_prints_every_digit(monkeypatch, capsys, cell_file, output):
 def test_render_structure_file(cell_file):
     result = run(["render", "--structure", cell_file, "--format", "ascii"])
     assert result.exit_code == 0
+
+
+# --- text output: the exact bytes of every command ---
+
+RETRO_TEXT = """\
+A_A_B left->B  lost: (none)  gained: <AA>
+A_A_B left->C  lost: (none)  gained: <AA>
+A_A_C left->B  lost: (none)  gained: <AA>
+A_A_C left->C  lost: (none)  gained: <AA>
+A_B_A left->B  lost: <BB>  gained: (none)
+A_B_A right->B  lost: <BB>  gained: (none)
+A_B_B right->A  lost: (none)  gained: <BB>
+A_B_B right->C  lost: (none)  gained: <BB>
+A_B_C left->B  lost: <BB>  gained: (none)
+A_B_C right->B  lost: <BB>  gained: (none)
+A_C_A left->C  lost: <CC>  gained: (none)
+A_C_A right->C  lost: <CC>  gained: (none)
+A_C_B left->C  lost: <CC>  gained: (none)
+A_C_B right->C  lost: <CC>  gained: (none)
+A_C_C right->A  lost: (none)  gained: <CC>
+A_C_C right->B  lost: (none)  gained: <CC>
+B_A_A right->B  lost: (none)  gained: <AA>
+B_A_A right->C  lost: (none)  gained: <AA>
+B_A_B left->A  lost: <AA>  gained: (none)
+B_A_B right->A  lost: <AA>  gained: (none)
+B_A_C left->A  lost: <AA>  gained: (none)
+B_A_C right->A  lost: <AA>  gained: (none)
+B_B_A left->A  lost: (none)  gained: <BB>
+B_B_A left->C  lost: (none)  gained: <BB>
+B_B_C left->A  lost: (none)  gained: <BB>
+B_B_C left->C  lost: (none)  gained: <BB>
+B_C_A left->C  lost: <CC>  gained: (none)
+B_C_A right->C  lost: <CC>  gained: (none)
+B_C_B left->C  lost: <CC>  gained: (none)
+B_C_B right->C  lost: <CC>  gained: (none)
+B_C_C right->A  lost: (none)  gained: <CC>
+B_C_C right->B  lost: (none)  gained: <CC>
+C_A_A right->B  lost: (none)  gained: <AA>
+C_A_A right->C  lost: (none)  gained: <AA>
+C_A_B left->A  lost: <AA>  gained: (none)
+C_A_B right->A  lost: <AA>  gained: (none)
+C_A_C left->A  lost: <AA>  gained: (none)
+C_A_C right->A  lost: <AA>  gained: (none)
+C_B_A left->B  lost: <BB>  gained: (none)
+C_B_A right->B  lost: <BB>  gained: (none)
+C_B_B right->A  lost: (none)  gained: <BB>
+C_B_B right->C  lost: (none)  gained: <BB>
+C_B_C left->B  lost: <BB>  gained: (none)
+C_B_C right->B  lost: <BB>  gained: (none)
+C_C_A left->A  lost: (none)  gained: <CC>
+C_C_A left->B  lost: (none)  gained: <CC>
+C_C_B left->A  lost: (none)  gained: <CC>
+C_C_B left->B  lost: (none)  gained: <CC>
+"""
+
+NONLOCAL_TEXT = """\
+A_A_B left->B  r_out: {A,B} -> {A,B,C}
+A_A_B left->C  r_out: {A,B} -> {A,B,C}
+A_A_C left->B  r_out: {A,C} -> {A,B,C}
+A_A_C left->C  r_out: {A,C} -> {A,B,C}
+A_B_A left->B  r_out: {A,B,C} -> {A,B}
+A_B_A right->B  l_out: {A,B,C} -> {A,B}
+A_B_B right->A  l_out: {A,B} -> {A,B,C}
+A_B_B right->C  l_out: {A,B} -> {A,B,C}
+A_B_C left->B  r_out: {A,B,C} -> {B,C}
+A_B_C right->B  l_out: {A,B,C} -> {A,B}
+A_C_A left->C  r_out: {A,B,C} -> {A,C}
+A_C_A right->C  l_out: {A,B,C} -> {A,C}
+A_C_B left->C  r_out: {A,B,C} -> {B,C}
+A_C_B right->C  l_out: {A,B,C} -> {A,C}
+A_C_C right->A  l_out: {A,C} -> {A,B,C}
+A_C_C right->B  l_out: {A,C} -> {A,B,C}
+B_A_A right->B  l_out: {A,B} -> {A,B,C}
+B_A_A right->C  l_out: {A,B} -> {A,B,C}
+B_A_B left->A  r_out: {A,B,C} -> {A,B}
+B_A_B right->A  l_out: {A,B,C} -> {A,B}
+B_A_C left->A  r_out: {A,B,C} -> {A,C}
+B_A_C right->A  l_out: {A,B,C} -> {A,B}
+B_B_A left->A  r_out: {A,B} -> {A,B,C}
+B_B_A left->C  r_out: {A,B} -> {A,B,C}
+B_B_C left->A  r_out: {B,C} -> {A,B,C}
+B_B_C left->C  r_out: {B,C} -> {A,B,C}
+B_C_A left->C  r_out: {A,B,C} -> {A,C}
+B_C_A right->C  l_out: {A,B,C} -> {B,C}
+B_C_B left->C  r_out: {A,B,C} -> {B,C}
+B_C_B right->C  l_out: {A,B,C} -> {B,C}
+B_C_C right->A  l_out: {B,C} -> {A,B,C}
+B_C_C right->B  l_out: {B,C} -> {A,B,C}
+C_A_A right->B  l_out: {A,C} -> {A,B,C}
+C_A_A right->C  l_out: {A,C} -> {A,B,C}
+C_A_B left->A  r_out: {A,B,C} -> {A,B}
+C_A_B right->A  l_out: {A,B,C} -> {A,C}
+C_A_C left->A  r_out: {A,B,C} -> {A,C}
+C_A_C right->A  l_out: {A,B,C} -> {A,C}
+C_B_A left->B  r_out: {A,B,C} -> {A,B}
+C_B_A right->B  l_out: {A,B,C} -> {B,C}
+C_B_B right->A  l_out: {B,C} -> {A,B,C}
+C_B_B right->C  l_out: {B,C} -> {A,B,C}
+C_B_C left->B  r_out: {A,B,C} -> {B,C}
+C_B_C right->B  l_out: {A,B,C} -> {B,C}
+C_C_A left->A  r_out: {A,C} -> {A,B,C}
+C_C_A left->B  r_out: {A,C} -> {A,B,C}
+C_C_B left->A  r_out: {B,C} -> {A,B,C}
+C_C_B left->B  r_out: {B,C} -> {A,B,C}
+"""
+
+RENDER_TEXT = """\
+scenario: 3 nodes, 7 edges
+future : [l_out]  [r_out]
+tier 2 : ann_l <annihilation>  in1 ~h_left~  in2 (l_in)  out1 [l_out]
+tier 2 : ann_r <annihilation>  in1 ~h_right~  in2 (r_in)  out1 [r_out]
+tier 1 : prod <production>  in1 (c_in=A)  out1 ~h_left~  out2 ~h_right~
+past   : (c_in=A)  (l_in)  (r_in)
+"""
+
+COUNTEREXAMPLE = analysis.ConsistencyReport("chain", 1, 5, (build_h_cell(), {"l_in": "A", "c_in": "B", "r_in": "C"}))
+FAILED_SWEEP = loops.LoopSweepReport(243, [("AAA", "B", "C")])
+
+TEXT_CASES = [
+    pytest.param(
+        ["table"], None,
+        "inputs  <AA>    <BC>    <CB>\n"
+        "A_A_A   no      yes     yes\n"
+        "A_A_B   no      yes     yes\n"
+        "B_A_B   yes     yes     yes\n"
+        "B_A_C   yes     yes     yes\n",
+        0, id="table",
+    ),
+    pytest.param(
+        ["hidden", "--left", "B", "--center", "A", "--right", "A"], None, "B_A_A: <BC> <CB>\n", 0, id="hidden",
+    ),
+    pytest.param(["classes"], None, "A_A_A\nA_A_B\nB_A_B\nB_A_C\n", 0, id="classes"),
+    pytest.param(
+        ["canon", "--left", "C", "--center", "B", "--right", "C"], None,
+        "C_B_C -> B_A_B  (permutation CAB, reflected no)\n", 0, id="canon",
+    ),
+    pytest.param(["retro"], None, RETRO_TEXT, 0, id="retro"),
+    pytest.param(["nonlocal"], None, NONLOCAL_TEXT, 0, id="nonlocal"),
+    pytest.param(
+        ["consistency", "--max-cells", "1"], None, "family=chain checked=27 counterexample=none\n", 0, id="consistency",
+    ),
+    pytest.param(
+        ["consistency", "--max-cells", "1"], (analysis, "consistency_sweep", lambda max_cells: COUNTEREXAMPLE),
+        "family=chain checked=5 counterexample: c_in=B l_in=A r_in=C\n", 1, id="consistency-counterexample",
+    ),
+    pytest.param(
+        ["loop", "--left", "A", "--center", "A", "--channel", "ACB"], None,
+        "<BC>  left_out=C right_in=B right_out=A\n<CB>  left_out=B right_in=C right_out=A\n", 0, id="loop",
+    ),
+    pytest.param(
+        ["loop", "--left", "A", "--center", "A", "--channel", "ACB"], (loops, "solve_loop", lambda *args: []),
+        "no solutions\n", 0, id="loop-no-solutions",
+    ),
+    pytest.param(["loop-sweep"], None, "cases=243 failures=0\n", 0, id="loop-sweep"),
+    pytest.param(
+        ["loop-sweep"], (loops, "loop_universality", lambda: FAILED_SWEEP),
+        "cases=243 failures=1\n  FAIL channel=AAA left=B center=C\n", 1, id="loop-sweep-fail",
+    ),
+    pytest.param(
+        ["loop-exclusions", "--left", "B", "--center", "A", "--channel", "AAA"], None,
+        "excluded: <AA>\n", 0, id="loop-exclusions",
+    ),
+    pytest.param(
+        ["loop-exclusions", "--left", "B", "--center", "A", "--channel", "ABC"], None,
+        "excluded: (none)\n", 0, id="loop-exclusions-none",
+    ),
+    pytest.param(
+        ["prob", "--left", "B", "--center", "A", "--right", "B"], None,
+        "p=1/3  c_in=A h_left=A h_right=A l_in=B l_out=C r_in=B r_out=C\n"
+        "p=1/3  c_in=A h_left=B h_right=C l_in=B l_out=B r_in=B r_out=A\n"
+        "p=1/3  c_in=A h_left=C h_right=B l_in=B l_out=A r_in=B r_out=B\n",
+        0, id="prob",
+    ),
+    pytest.param(
+        ["prob", "--left", "B", "--center", "A", "--right", "A", "--marginal", "l_out"], None,
+        "l_out: A=1/2  B=1/2  C=0\n", 0, id="prob-marginal",
+    ),
+    pytest.param(
+        ["signal", "--target", "l_out", "--remote", "r_in", "--left", "B", "--center", "A"], None,
+        "score = 1/3\n", 0, id="signal",
+    ),
+    pytest.param(["epistemic", "--center", "A"], None, "<AA> = 4/9\n<BC> = 1\n<CB> = 1\n", 0, id="epistemic"),
+    pytest.param(
+        ["epistemic", "--center", "A", "--r-in", "A"], None, "<AA> = 0\n<BC> = 1\n<CB> = 1\n", 0, id="epistemic-known",
+    ),
+    pytest.param(
+        ["solve", "--structure", "CELL", "--assign", "l_in=B", "--assign", "c_in=A", "--assign", "r_in=A"], None,
+        "solutions: 2 (explored 16 candidates)\n"
+        "  c_in=A h_left=B h_right=C l_in=B l_out=B r_in=A r_out=B\n"
+        "  c_in=A h_left=C h_right=B l_in=B l_out=A r_in=A r_out=C\n",
+        0, id="solve",
+    ),
+    pytest.param(["solve", "--structure", "CELL", "--count-only"], None, "count = 66\n", 0, id="solve-count-only"),
+    pytest.param(["render", "--builder", "h-cell", "--assign", "c_in=A"], None, RENDER_TEXT, 0, id="render"),
+]
+
+
+@pytest.mark.parametrize("argv, patch, expected, exit_code", TEXT_CASES)
+def test_text_output_of_every_command(monkeypatch, capsys, cell_file, argv, patch, expected, exit_code):
+    if patch:
+        monkeypatch.setattr(*patch)
+    assert run([cell_file if arg == "CELL" else arg for arg in argv]).exit_code == exit_code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (expected, "")
 
 
 # --- error paths ---

@@ -70,6 +70,15 @@ def test_table_loads_only_the_analysis_layers():
     assert not loaded & {"helsinki.prob", "helsinki.loops", "helsinki.render", "fractions", "dataclasses"}
 
 
+def test_loop_loads_only_the_cell_table_layers():
+    loaded = loaded_after(
+        "from helsinki import cli\n"
+        "assert cli.run(['loop', '--left', 'A', '--center', 'A', '--channel', 'ACB']).exit_code == 0"
+    )
+    assert {"helsinki.loops", "helsinki.analysis", "helsinki.solver"} <= loaded
+    assert not loaded & {"helsinki.prob", "helsinki.render", "fractions", "dataclasses"}
+
+
 def test_solve_loads_no_analysis(tmp_path):
     path = tmp_path / "cell.json"
     path.write_text(serialize_scenario(build_h_cell()))
