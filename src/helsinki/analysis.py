@@ -40,13 +40,6 @@ class InputTriple(NamedTuple):
     def label(self) -> str:
         return f"{self.left}_{self.center}_{self.right}"
 
-    @staticmethod
-    def from_label(label: str) -> "InputTriple":
-        parts = label.split("_")
-        if len(parts) != 3 or any(p not in FLAVORS for p in parts):
-            raise ValueError(f"not an input triple label: {label!r}")
-        return InputTriple(*parts)
-
 
 ALL_INPUT_TRIPLES: tuple[InputTriple, ...] = tuple(
     InputTriple(*combo) for combo in itertools.product(FLAVORS, repeat=3)

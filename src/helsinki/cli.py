@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from typing import NamedTuple, Optional
@@ -264,7 +265,7 @@ def _cmd_solve(args) -> tuple[dict, int]:
 
 def _cmd_render(args) -> tuple[dict, int]:
     from .render import render
-    if args.structure:
+    if args.structure is not None:
         scenario, embedded = _load_scenario(args.structure)
     else:
         scenario, embedded = _builder(args.builder), {}
@@ -479,7 +480,13 @@ def run(argv: list[str]) -> CommandResult:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]).exit_code)
+    try:
+        code = run(sys.argv[1:]).exit_code
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader went away: the output is lost, but no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flush must not raise again
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -15,18 +15,18 @@ flavors read along ascending edge ids. Empty solution lists are ordinary
 results, never errors.
 
 Each structure object is compiled once, from `structure.node_order`, into
-a plan of integer steps over its sorted edges; the plan is memoized per
-object and dropped when the object is collected, so a structure must not
-be mutated after its first search. `complete` and `has_completion` loop
-over the plan depth-first with an explicit stack of open branch points,
-so no recursion limit bounds its depth; `explored` counts the candidates
-a full search examines. `count_completions` never enumerates: it is a
-frontier dynamic program over the plan's nodes (bucket elimination; a
-transfer matrix on chains), compiled on the first count into the same
-memo entry. It keeps, per frontier of values that link counted nodes to
-the rest, the number of partial assignments reaching it, so the count is
-exact and its time is linear in the number of nodes times the frontier
-size. `has_stranding_input` runs the same layout over sets of frontiers
+a plan of integer steps over its sorted edges; the plan is kept on the
+object (`structure.memo`), so a structure must not be mutated after its
+first search, and a copy starts with nothing derived. `complete` and
+`has_completion` loop over the plan depth-first with an explicit stack of
+open branch points, so no recursion limit bounds its depth; `explored`
+counts the candidates a full search examines. `count_completions` never
+enumerates: it is a frontier dynamic program over the plan's nodes (bucket
+elimination; a transfer matrix on chains), whose layout is compiled on the
+first count and kept on the object beside the plan. It keeps, per frontier
+of values that link counted nodes to the rest, the number of partial
+assignments reaching it, so the count is exact and its time is linear in
+the number of nodes times the frontier size. `has_stranding_input` runs the same layout over sets of frontiers
 to decide, for all choices of some edges at once, whether one leaves no
 completion. Structures are assumed to satisfy `validate_topology`;
 builders and the file parser only ever hand over valid ones.
@@ -97,7 +97,7 @@ _MERGES = {(a, b): (annihilation_output(a, b), a == b) for a in FLAVORS for b in
 
 
 class _Plan:
-    __slots__ = ("edge_ids", "index", "steps", "counter")
+    __slots__ = ("edge_ids", "index", "steps")
 
     def __init__(self, edge_ids: list[str], index: dict[str, int], steps: tuple[tuple[int, ...], ...]) -> None:
         self.edge_ids = edge_ids
@@ -105,12 +105,6 @@ class _Plan:
         #: (_FREE, edge) | (_PRODUCTION, node, in, out1, out2, pred) |
         #: (_ANNIHILATION, node, in1, in2, out, pred1, pred2); pred -1 is none
         self.steps = steps
-        #: the layout of `count_completions`, compiled on the first count:
-        #: per counted node, getters for the pins of its three edges, for
-        #: what it reads from (frontier + those pins) and for the next
-        #: frontier from (frontier + its filling); then the edges no node
-        #: reads, a factor of 3 each unless pinned
-        self.counter: Optional[tuple[tuple[tuple[Callable, ...], ...], tuple[int, ...]]] = None
 
 
 def _compile(structure: Structure) -> _Plan:
@@ -138,14 +132,6 @@ def _compile(structure: Structure) -> _Plan:
             steps.append((_ANNIHILATION, k, index[ins[0]], index[ins[1]], outs[0], preds[0], preds[1]))
     steps += [(_FREE, index[eid]) for eid in walk.loose]
     return _Plan(edge_ids, index, tuple(steps))
-
-
-#: id(structure) -> its plan, kept by `structure.memo` beside the walk
-_PLANS: dict[int, _Plan] = {}
-
-
-def _compiled(structure: Structure) -> _Plan:
-    return memo(_PLANS, structure, _compile)
 
 
 def _pins(plan: _Plan, partial: Assignment) -> list[Optional[str]]:
@@ -227,7 +213,7 @@ def _search(plan: _Plan, pin: list[Optional[str]], limit: Optional[int] = None) 
 def complete(structure: Structure, partial: Assignment) -> SolveResult:
     """Every total admissible assignment extending `partial`, in canonical
     order. Exhaustive; an empty list means the inputs admit nothing."""
-    plan = _compiled(structure)
+    plan = memo(structure, _compile)
     solutions, explored = _search(plan, _pins(plan, partial))
     solutions.sort()
     return SolveResult([dict(zip(plan.edge_ids, s)) for s in solutions], explored)
@@ -235,7 +221,7 @@ def complete(structure: Structure, partial: Assignment) -> SolveResult:
 
 def has_completion(structure: Structure, partial: Assignment) -> bool:
     """Whether at least one admissible completion exists (early exit)."""
-    plan = _compiled(structure)
+    plan = memo(structure, _compile)
     solutions, _ = _search(plan, _pins(plan, partial), limit=1)
     return bool(solutions)
 
@@ -287,8 +273,11 @@ def _narrow_order(edges: dict[int, tuple[int, ...]], touching: dict[int, list[in
     return order
 
 
-def _compile_counter(plan: _Plan) -> tuple[tuple[tuple[Callable, ...], ...], tuple[int, ...]]:
-    """The frontier layout for `count_completions`.
+def _compile_counter(structure: Structure) -> tuple[tuple[tuple[Callable, ...], ...], tuple[int, ...]]:
+    """The frontier layout for `count_completions`: per counted node,
+    getters for the pins of its three edges, for what it reads from
+    (frontier + those pins) and for the next frontier from (frontier + its
+    filling); then the edges no node reads, a factor of 3 each unless pinned.
 
     Nodes are counted one at a time; the frontier holds what links counted
     nodes to uncounted ones: the flavor of each edge between them and the
@@ -298,6 +287,7 @@ def _compile_counter(plan: _Plan) -> tuple[tuple[tuple[Callable, ...], ...], tup
     what stays live. The node rule and the ban are symmetric, so the order
     need not be topological: it is chosen to keep the frontier narrow.
     """
+    plan = memo(structure, _compile)
     edges = {step[1]: step[2:5] for step in plan.steps if step[0] != _FREE}
     touching: dict[int, list[int]] = {}
     for k, incident in edges.items():
@@ -337,11 +327,8 @@ def count_completions(structure: Structure, partial: Assignment) -> int:
     admissible fillings and sums the counts that project alike, so time is
     linear in the number of nodes times the frontier size.
     """
-    plan = _compiled(structure)
-    pin = _pins(plan, partial)
-    if plan.counter is None:
-        plan.counter = _compile_counter(plan)
-    steps, loose = plan.counter
+    pin = _pins(memo(structure, _compile), partial)
+    steps, loose = memo(structure, _compile_counter)
     table: dict[tuple, int] = {(): 1}
     for pins_of, reads, project in steps:
         pins = pins_of(pin)
@@ -362,13 +349,11 @@ def has_stranding_input(structure: Structure, partial: Assignment, forall: Colle
     """Whether some choice of the `forall` edges, extending `partial`, has no completion.
     The counting layout run over members, each the frontier states reachable under one
     choice of the `forall` edges read so far; a node reading one first splits each in three."""
-    plan = _compiled(structure)
+    plan = memo(structure, _compile)
     pin = _pins(plan, {**dict.fromkeys(forall, FLAVORS[0]), **partial})
-    if plan.counter is None:
-        plan.counter = _compile_counter(plan)
     fresh, positions = {plan.index[e] for e in forall if e not in partial}, range(len(pin))
     members = {frozenset({()})}
-    for pins_of, reads, project in plan.counter[0]:
+    for pins_of, reads, project in memo(structure, _compile_counter)[0]:
         incident = pins_of(positions)  # the node's edge indices
         choices = list(itertools.product(*(FLAVORS if e in fresh else (pin[e],) for e in incident)))
         fresh.difference_update(incident)  # later reads find the choice in the frontier

@@ -8,16 +8,16 @@ to the future are observations (read-only), and internal edges are hidden.
 
 Structures and Scenarios are immutable after construction by convention;
 no function here mutates its inputs. Each structure object's graph is
-walked and checked once (`node_order`), and the walk is kept until the
-object is collected, so a structure must not be mutated after its first
-validate, render or search: build a new one instead.
+walked and checked once (`node_order`), and what is derived from it is
+kept on the object itself (`memo`), so a structure must not be mutated
+after its first validate, render or search: build a new one instead. A
+copy or a pickle round trip starts with nothing derived.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-import weakref
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, NamedTuple, Optional
 
@@ -122,12 +122,16 @@ class Structure:
 
     Equal when both maps are equal, and unhashable, like the maps."""
 
-    __slots__ = ("nodes", "edges", "__weakref__")  # `memo` drops an entry through a weak reference
+    __slots__ = ("nodes", "edges", "_derived")  # `_derived` is read by `memo` only
     __hash__ = None
 
     def __init__(self, nodes: dict[str, str], edges: dict[str, Edge]) -> None:
         self.nodes = nodes
         self.edges = edges
+        self._derived: dict[Callable, object] = {}
+
+    def __reduce__(self) -> tuple:
+        return Structure, (self.nodes, self.edges)  # copies and pickles derive afresh
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -141,14 +145,13 @@ class Structure:
         return sorted(self.edges)
 
 
-def memo(table: dict, obj: object, build: Callable):
-    """`build(obj)`, made on first use and kept in `table` under `id(obj)`
-    until `obj` is collected, so a reused id never finds a stale entry. A
-    build that raises stores nothing."""
-    entry = table.get(id(obj))
+def memo(structure: Structure, build: Callable):
+    """`build(structure)`, made on first use and kept on the structure
+    under `build`. A build that raises stores nothing."""
+    derived = structure._derived
+    entry = derived.get(build)
     if entry is None:
-        entry = table[id(obj)] = build(obj)
-        weakref.finalize(obj, table.pop, id(obj), None)
+        entry = derived[build] = build(structure)
     return entry
 
 
@@ -256,14 +259,10 @@ def _walk(structure: Structure) -> NodeOrder:
     return NodeOrder(edges, ports, preds, order, depth, loose, tuple(kind_v + edge_v + port_v + link_v + cycle))
 
 
-#: id(structure) -> its walk
-_WALKS: dict[int, NodeOrder] = {}
-
-
 def node_order(structure: Structure) -> NodeOrder:
     """The one walk over a structure's graph, made once per object;
     validation, the solver plan, path depth and rendering all read it."""
-    return memo(_WALKS, structure, _walk)
+    return memo(structure, _walk)
 
 
 def validate_topology(structure: Structure) -> list[Violation]:
@@ -330,17 +329,7 @@ def build_h_cell() -> Scenario:
     hidden edge plus a past-side input (`l_in`, `r_in`) and emits a
     future-side output (`l_out`, `r_out`).
     """
-    nodes = {"prod": PRODUCTION, "ann_l": ANNIHILATION, "ann_r": ANNIHILATION}
-    edges = {
-        "c_in": Edge(Endpoint.at_terminal("c_in", PAST), Endpoint.at_port("prod", "in1")),
-        "h_left": Edge(Endpoint.at_port("prod", "out1"), Endpoint.at_port("ann_l", "in1")),
-        "h_right": Edge(Endpoint.at_port("prod", "out2"), Endpoint.at_port("ann_r", "in1")),
-        "l_in": Edge(Endpoint.at_terminal("l_in", PAST), Endpoint.at_port("ann_l", "in2")),
-        "r_in": Edge(Endpoint.at_terminal("r_in", PAST), Endpoint.at_port("ann_r", "in2")),
-        "l_out": Edge(Endpoint.at_port("ann_l", "out1"), Endpoint.at_terminal("l_out", FUTURE)),
-        "r_out": Edge(Endpoint.at_port("ann_r", "out1"), Endpoint.at_terminal("r_out", FUTURE)),
-    }
-    return Scenario.derive(Structure(nodes, edges))
+    return build_chain(1)
 
 
 def build_chain(k: int) -> Scenario:
@@ -348,34 +337,31 @@ def build_chain(k: int) -> Scenario:
 
     The connecting edge (`c_mid.(i+1)`) is internal, so it is hidden, and it
     links an annihilation to a production, preserving alternation. Cell ids
-    are suffixed `.i`; k = 1 is exactly the plain cell.
+    are suffixed `.i`; k = 1 is exactly the plain cell, without suffixes.
     """
     if k < 1:
         raise ValueError(f"chain needs at least 1 cell, got {k}")
-    if k == 1:
-        return build_h_cell()
-
     nodes: dict[str, str] = {}
     edges: dict[str, Edge] = {}
     for i in range(1, k + 1):
-        prod, ann_l, ann_r = f"prod.{i}", f"ann_l.{i}", f"ann_r.{i}"
+        tag = "" if k == 1 else f".{i}"
+        prod, ann_l, ann_r = f"prod{tag}", f"ann_l{tag}", f"ann_r{tag}"
         nodes[prod] = PRODUCTION
         nodes[ann_l] = ANNIHILATION
         nodes[ann_r] = ANNIHILATION
 
-        center = "c_in" if i == 1 else f"c_mid.{i}"
         if i == 1:
-            edges[center] = Edge(Endpoint.at_terminal("c_in", PAST), Endpoint.at_port(prod, "in1"))
+            edges["c_in"] = Edge(Endpoint.at_terminal("c_in", PAST), Endpoint.at_port(prod, "in1"))
         else:
-            edges[center] = Edge(Endpoint.at_port(f"ann_r.{i - 1}", "out1"), Endpoint.at_port(prod, "in1"))
+            edges[f"c_mid{tag}"] = Edge(Endpoint.at_port(f"ann_r.{i - 1}", "out1"), Endpoint.at_port(prod, "in1"))
 
-        edges[f"h_left.{i}"] = Edge(Endpoint.at_port(prod, "out1"), Endpoint.at_port(ann_l, "in1"))
-        edges[f"h_right.{i}"] = Edge(Endpoint.at_port(prod, "out2"), Endpoint.at_port(ann_r, "in1"))
-        edges[f"l_in.{i}"] = Edge(Endpoint.at_terminal(f"l_in.{i}", PAST), Endpoint.at_port(ann_l, "in2"))
-        edges[f"r_in.{i}"] = Edge(Endpoint.at_terminal(f"r_in.{i}", PAST), Endpoint.at_port(ann_r, "in2"))
-        edges[f"l_out.{i}"] = Edge(Endpoint.at_port(ann_l, "out1"), Endpoint.at_terminal(f"l_out.{i}", FUTURE))
+        edges[f"h_left{tag}"] = Edge(Endpoint.at_port(prod, "out1"), Endpoint.at_port(ann_l, "in1"))
+        edges[f"h_right{tag}"] = Edge(Endpoint.at_port(prod, "out2"), Endpoint.at_port(ann_r, "in1"))
+        edges[f"l_in{tag}"] = Edge(Endpoint.at_terminal(f"l_in{tag}", PAST), Endpoint.at_port(ann_l, "in2"))
+        edges[f"r_in{tag}"] = Edge(Endpoint.at_terminal(f"r_in{tag}", PAST), Endpoint.at_port(ann_r, "in2"))
+        edges[f"l_out{tag}"] = Edge(Endpoint.at_port(ann_l, "out1"), Endpoint.at_terminal(f"l_out{tag}", FUTURE))
         if i == k:
-            edges[f"r_out.{i}"] = Edge(Endpoint.at_port(ann_r, "out1"), Endpoint.at_terminal(f"r_out.{i}", FUTURE))
+            edges[f"r_out{tag}"] = Edge(Endpoint.at_port(ann_r, "out1"), Endpoint.at_terminal(f"r_out{tag}", FUTURE))
 
     return Scenario.derive(Structure(nodes, edges))
 
@@ -450,6 +436,8 @@ def parse_scenario_document(text: str) -> tuple[Scenario, Optional[dict[str, str
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     for key in ("nodes", "edges"):

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from helsinki import analysis, cli, loops, solver
 from helsinki.cli import run
 from helsinki.structure import build_chain, build_h_cell, serialize_scenario
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -576,6 +581,42 @@ def test_invalid_structure_is_domain_error(tmp_path):
 def test_render_chain_zero_is_usage_error():
     assert run(["render", "--builder", "chain:0"]).exit_code == 2
     assert run(["render", "--builder", "pyramid"]).exit_code == 2
+
+
+@pytest.mark.parametrize("command", ["render", "consistency", "solve"])
+def test_an_empty_structure_path_is_a_missing_file(command, capsys):
+    assert run([command, "--structure", ""]).exit_code == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: [Errno 2] No such file or directory: ''\n")
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 200_000, '{"nodes": {}, "edges": {}, "roles": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+    ids=["brackets", "roles"],
+)
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert run(["solve", "--structure", str(path)]).exit_code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "nested too deeply" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["nonlocal"], ["--output", "json", "table"]])
+def test_a_closed_stdout_ends_without_a_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "helsinki.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_unexpected_exception_is_a_one_line_internal_error(monkeypatch, capsys):

@@ -1,5 +1,6 @@
+import copy
 import functools
-import gc
+import pickle
 import random
 import re
 import time
@@ -28,6 +29,7 @@ from helsinki.structure import (
     Structure,
     build_chain,
     build_h_cell,
+    memo,
     reverse_time,
 )
 
@@ -210,7 +212,7 @@ def test_count_keeps_a_narrow_frontier_on_reversed_chains():
     # a topological order would count every left production of a reversed
     # chain before any of its annihilations: a frontier as wide as the chain
     forward, backward = build_chain(100).structure, reverse_time(build_chain(100)).structure
-    steps, _ = solver._compile_counter(solver._compiled(backward))
+    steps, _ = solver._compile_counter(backward)
     assert max(len(project(range(16))) for _, _, project in steps) <= 3
     assert count_completions(backward, {}) == count_completions(forward, {})
 
@@ -291,17 +293,22 @@ def cyclic() -> Structure:
     return Structure(nodes, edges)
 
 
-# --- the per-structure plan memo ---
+# --- what is derived from a structure, kept on the structure ---
 
 
-def test_plan_memo_drops_collected_structures():
-    structure = build_chain(2).structure
-    key = id(structure)
-    assert has_completion(structure, {})
-    assert key in solver._PLANS
-    del structure
-    gc.collect()
-    assert key not in solver._PLANS
+@pytest.mark.parametrize(
+    "duplicate", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))], ids=["copy", "deepcopy", "pickle"]
+)
+def test_copies_and_pickles_start_with_nothing_derived(duplicate):
+    structure = build_chain(3).structure
+    partial = {"c_in": "B", "l_out.3": "A"}
+    counts = count_completions(structure, {}), count_completions(structure, partial)
+    assert len(structure._derived) == 3  # walk, plan and counting layout
+    twin = duplicate(structure)
+    assert twin == structure and twin is not structure
+    assert twin._derived == {}
+    assert (count_completions(twin, {}), count_completions(twin, partial)) == counts
+    assert has_stranding_input(twin, {}, ["c_in"]) == has_stranding_input(structure, {}, ["c_in"])
 
 
 @pytest.mark.parametrize("search", [complete, count_completions, has_completion])
@@ -326,20 +333,22 @@ def test_engine_rejects_a_partial_with_the_oracle_message(search, partial):
         search(CELL, partial)
 
 
-def test_counting_layout_is_compiled_once_and_dropped_with_the_plan():
+def test_counting_layout_is_compiled_once(monkeypatch):
+    layouts = []
+    narrow = solver._narrow_order
+    monkeypatch.setattr(solver, "_narrow_order", lambda *a: layouts.append(a) or narrow(*a))
     structure = build_chain(100).structure
-    key = id(structure)
+    assert complete(structure, {"c_in": "A", "h_left.1": "A", "h_right.1": "B"}).solutions == []
     assert has_completion(structure, {})
-    assert solver._PLANS[key].counter is None  # searches never pay for it
+    assert not layouts  # searches never pay for it
     count_completions(structure, {})
-    counter = solver._PLANS[key].counter
+    counter = memo(structure, solver._compile_counter)
     count_completions(structure, {"c_in": "A"})
-    assert solver._PLANS[key].counter is counter
+    assert not has_stranding_input(structure, {}, ["c_in", "l_in.1"])
+    assert memo(structure, solver._compile_counter) is counter
+    assert len(layouts) == 1
     # the same few projections repeat cell after cell
     assert len({id(project) for _, _, project in counter[0]}) <= 6
-    del structure, counter
-    gc.collect()
-    assert key not in solver._PLANS
 
 
 @pytest.mark.parametrize("search", [complete, count_completions, has_completion])
@@ -348,7 +357,7 @@ def test_cyclic_structure_raises_on_every_call(search):
     for _ in range(2):
         with pytest.raises(ValueError, match="cycle"):
             search(structure, {})
-    assert id(structure) not in solver._PLANS
+    assert solver._compile not in structure._derived
 
 
 def test_value_equal_structures_give_identical_results():

@@ -1,4 +1,3 @@
-import gc
 import itertools
 import json
 
@@ -68,7 +67,12 @@ def test_h_cell_two_hidden_edges():
 
 
 def test_chain_one_is_the_plain_cell():
-    assert build_chain(1) == build_h_cell()
+    chain, cell = build_chain(1), build_h_cell()
+    assert chain == cell
+    assert serialize_scenario(chain) == serialize_scenario(cell)
+    assert list(chain.structure.edges) == list(cell.structure.edges)
+    assert list(chain.structure.edges) == ["c_in", "h_left", "h_right", "l_in", "r_in", "l_out", "r_out"]
+    assert list(chain.structure.nodes) == ["prod", "ann_l", "ann_r"]
 
 
 def test_chain_two_shape():
@@ -364,16 +368,6 @@ def test_endpoints_compare_by_value():
 # --- one walk per structure object ---
 
 
-def test_walk_memo_drops_collected_structures():
-    structure = build_chain(3).structure
-    key = id(structure)
-    assert validate_topology(structure) == []
-    assert key in structure_module._WALKS
-    del structure
-    gc.collect()
-    assert key not in structure_module._WALKS
-
-
 def test_validate_topology_returns_a_fresh_list():
     broken = Structure({"n": "fusion"}, {})
     first = validate_topology(broken)
@@ -463,6 +457,15 @@ def test_parse_error_messages(text, message):
     with pytest.raises(ParseError) as error:
         parse_scenario_document(text)
     assert str(error.value) == message
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 200_000, '{"nodes": {}, "edges": {}, "roles": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+    ids=["brackets", "roles"],
+)
+def test_deeply_nested_json_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="^invalid JSON: nested too deeply$"):
+        parse_scenario_document(text)
 
 
 def test_violation_messages():
