@@ -6,8 +6,8 @@ outputs depend on the other wing's setting. Both dependencies are computed
 here as exact set differences over exhaustive solution sets, along with the
 symmetry-class reduction of the 27 input triples to 4 and the check that no
 choice of inputs ever strands a chain without a completion. That check
-enumerates no inputs: `solver.has_stranding_input` decides it for all of
-them at once, and pinning the inputs a run at a time finds the least counterexample.
+enumerates no inputs: one `solver.least_stranding_input` pass decides it
+for all of them at once and returns the least counterexample.
 The cell is solved once per input triple per process (`cell_solutions`);
 every cell-level analysis here and in `prob` and `loops` reads that table.
 """
@@ -26,7 +26,7 @@ from .model import (
     Permutation,
     production_completions,
 )
-from .solver import Assignment, complete, has_stranding_input
+from .solver import Assignment, complete, least_stranding_input
 from .structure import Scenario, build_chain, build_h_cell, intervention_edges
 
 
@@ -205,35 +205,13 @@ def check_all_inputs(scenario: Scenario, family: str = "scenario") -> Consistenc
 
     Assignments are ranked lexicographically over the sorted edges: the
     counterexample is the least one and `checked` its rank, else all 3^n.
-    It is built one run of A's and one other flavor at a time: the inputs
-    so far have a stranding extension, and so have they followed by j A's
-    for every j up to the longest such run, which a binary search finds.
+    One `least_stranding_input` pass decides every input and finds the least.
     """
     structure, edges = scenario.structure, intervention_edges(scenario)
-    if not has_stranding_input(structure, {}, edges):
+    inputs = least_stranding_input(structure, {}, edges)
+    if inputs is None:
         return ConsistencyReport(family, None, 3 ** len(edges), None)
-    inputs: Assignment = {}
-    rank = 0
-    while len(inputs) < len(edges):
-        i = len(inputs)
-
-        def strands(run: int) -> bool:  # whether the inputs, then `run` A's, extend to stranding ones
-            prefix = {**inputs, **dict.fromkeys(edges[i:i + run], FLAVORS[0])}
-            return has_stranding_input(structure, prefix, edges[i + run:])
-
-        low, high = 0, len(edges) - i  # strands(low) holds
-        if strands(high):  # the all-A extension is the least, so it is the answer
-            low = high
-        while high - low > 1:
-            mid = (low + high) // 2
-            low, high = (mid, high) if strands(mid) else (low, mid)
-        inputs.update(dict.fromkeys(edges[i:i + low], FLAVORS[0]))
-        rank *= 3 ** low
-        if low < high:  # an A next strands nothing: B if some extension then strands, else C
-            inputs[edges[i + low]] = FLAVORS[1]
-            k = 1 if has_stranding_input(structure, inputs, edges[i + low + 1:]) else 2
-            inputs[edges[i + low]] = FLAVORS[k]
-            rank = 3 * rank + k
+    rank = functools.reduce(lambda r, e: 3 * r + FLAVORS.index(inputs[e]), edges, 0)
     return ConsistencyReport(family, None, rank + 1, (scenario, inputs))
 
 

@@ -19,6 +19,7 @@ from .structure import (
     PRODUCTION,
     PORTS,
     Scenario,
+    check_partial,
     node_order,
 )
 
@@ -31,9 +32,7 @@ def render(scenario: Scenario, assignment: Optional[Assignment] = None, fmt: str
     if walk.violations:
         raise InvalidStructureError(walk.violations)
     assignment = assignment or {}
-    unknown = sorted(set(assignment) - set(scenario.structure.edges))
-    if unknown:
-        raise ValueError(f"assignment mentions unknown edges: {', '.join(unknown)}")
+    check_partial(scenario.structure.edges, assignment)
     if fmt == "graph":
         return _render_dot(scenario, walk, assignment)
     return _render_ascii(scenario, walk, assignment)

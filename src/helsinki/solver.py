@@ -26,10 +26,11 @@ elimination; a transfer matrix on chains), whose layout is compiled on the
 first count and kept on the object beside the plan. It keeps, per frontier
 of values that link counted nodes to the rest, the number of partial
 assignments reaching it, so the count is exact and its time is linear in
-the number of nodes times the frontier size. `has_stranding_input` runs the same layout over sets of frontiers
-to decide, for all choices of some edges at once, whether one leaves no
-completion. Structures are assumed to satisfy `validate_topology`;
-builders and the file parser only ever hand over valid ones.
+the number of nodes times the frontier size. `least_stranding_input`
+runs the same layout over sets of frontiers, each with the least choice
+of some edges reaching it, to find the least choice that leaves no
+completion in one pass. Structures are assumed to satisfy
+`validate_topology`; builders and the file parser only hand over valid ones.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from operator import itemgetter
 from typing import Callable, Collection, NamedTuple, Optional, Sequence
 
 from .model import FLAVORS, PRODUCTION, Assignment, annihilation_output, node_admissible, production_completions
-from .structure import IN_PORTS, OUT_PORTS, Structure, memo, node_order
+from .structure import IN_PORTS, OUT_PORTS, Structure, check_partial, memo, node_order
 
 
 class SolveResult(NamedTuple):
@@ -56,22 +57,9 @@ class SolveResult(NamedTuple):
     explored: int
 
 
-def _check_partial(structure: Structure, partial: Assignment) -> None:
-    _reject(partial, set(partial) - set(structure.edges))
-
-
-def _reject(partial: Assignment, unknown: Collection[str]) -> None:
-    """Raise for a partial naming `unknown` edges or holding non-flavors."""
-    if unknown:
-        raise ValueError(f"assignment mentions unknown edges: {', '.join(sorted(unknown))}")
-    bad = sorted(v for v in partial.values() if v not in FLAVORS)
-    if bad:
-        raise ValueError(f"assignment contains non-flavor values: {', '.join(map(repr, bad))}")
-
-
 def is_admissible(structure: Structure, assignment: Assignment) -> bool:
     """Check a total assignment against the node and adjacency rules."""
-    _check_partial(structure, assignment)
+    check_partial(structure.edges, assignment)
     missing = sorted(set(structure.edges) - set(assignment))
     if missing:
         raise ValueError(f"assignment must be total; missing edges: {', '.join(missing)}")
@@ -138,7 +126,7 @@ def _pins(plan: _Plan, partial: Assignment) -> list[Optional[str]]:
     """The partial as a flavor (or None) per edge index, checked against
     the plan's edge index."""
     index = plan.index
-    _reject(partial, [eid for eid in partial if eid not in index])
+    check_partial(index, partial)
     pin: list[Optional[str]] = [None] * len(plan.edge_ids)
     for eid, flavor in partial.items():
         pin[index[eid]] = flavor
@@ -227,12 +215,9 @@ def has_completion(structure: Structure, partial: Assignment) -> bool:
 
 
 def _getter(indices: tuple[int, ...]) -> Callable[[Sequence], tuple]:
-    """The entries at `indices`, always as a tuple."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    if indices:
-        return lambda values, i=indices[0]: (values[i],)
-    return lambda values: ()
+    """The entries at `indices` as a tuple. Never one index: a node reads
+    its three edges, and a live edge keeps its counted node's flag live."""
+    return itemgetter(*indices) if indices else lambda values: ()
 
 
 #: a node's admissible (flavor, flavor, flavor, homogeneous), in any port order
@@ -345,23 +330,42 @@ def count_completions(structure: Structure, partial: Assignment) -> int:
     return total
 
 
-def has_stranding_input(structure: Structure, partial: Assignment, forall: Collection[str]) -> bool:
-    """Whether some choice of the `forall` edges, extending `partial`, has no completion.
-    The counting layout run over members, each the frontier states reachable under one
-    choice of the `forall` edges read so far; a node reading one first splits each in three."""
+def least_stranding_input(structure: Structure, partial: Assignment, forall: Collection[str]) -> Optional[Assignment]:
+    """The least choice of the `forall` edges that, extending `partial`, has no completion, else None.
+
+    Choices rank as base-3 numbers over the sorted `forall` edges, A < B < C, the first edge most
+    significant; one pinned in `partial` keeps its pin. The counting layout runs over members, each
+    the frontier states some choices of the `forall` edges read so far reach, kept with the least
+    rank among them (unread edges at A); a node reading one first splits each member in three.
+    Choices reaching the same member have the same futures and keep their order in any common
+    extension, so the larger can go. An empty member records its rank; none above it is kept."""
     plan = memo(structure, _compile)
-    pin = _pins(plan, {**dict.fromkeys(forall, FLAVORS[0]), **partial})
-    fresh, positions = {plan.index[e] for e in forall if e not in partial}, range(len(pin))
-    members = {frozenset({()})}
+    chosen = sorted(set(forall))
+    pin = _pins(plan, {**dict.fromkeys(chosen, FLAVORS[0]), **partial})
+    free = [e for e in chosen if e not in partial]
+    weight = {e: 3 ** (len(free) - 1 - j) for j, e in enumerate(free)}
+    unread, positions = {plan.index[e]: w for e, w in weight.items()}, range(len(pin))
+    members, least = {frozenset({()}): 0}, 3 ** len(free)  # above every rank: none found yet
     for pins_of, reads, project in memo(structure, _compile_counter)[0]:
         incident = pins_of(positions)  # the node's edge indices
-        choices = list(itertools.product(*(FLAVORS if e in fresh else (pin[e],) for e in incident)))
-        fresh.difference_update(incident)  # later reads find the choice in the frontier
-        members = {frozenset(project(state + f) for state in member for f in _FILLINGS[reads(state + pins)])
-                   for member in members for pins in choices}
-        if frozenset() in members:
-            return True
-    return False
+        options = [[(f, k * unread[e]) for k, f in enumerate(FLAVORS)] if e in unread else [(pin[e], 0)]
+                   for e in incident]
+        for e in incident:
+            unread.pop(e, None)  # later reads find the choice in the frontier
+        choices = [(tuple(f for f, _ in c), sum(r for _, r in c)) for c in itertools.product(*options)]
+        reached: dict[frozenset, int] = {}
+        for member, rank in members.items():
+            for pins, offset in choices:
+                if (r := rank + offset) < least:
+                    key = frozenset(project(state + f) for state in member for f in _FILLINGS[reads(state + pins)])
+                    if not key:
+                        least = r
+                    elif r < reached.get(key, least):
+                        reached[key] = r
+        members = reached
+    if least == 3 ** len(free):
+        return None
+    return {e: partial[e] if e in partial else FLAVORS[least // weight[e] % 3] for e in chosen}
 
 
 def brute_force_complete(structure: Structure, partial: Assignment) -> list[Assignment]:
@@ -371,7 +375,7 @@ def brute_force_complete(structure: Structure, partial: Assignment) -> list[Assi
     Output is in the same canonical order as `complete`. Index tables are
     precomputed for speed, but every candidate is still visited.
     """
-    _check_partial(structure, partial)
+    check_partial(structure.edges, partial)
     walk = node_order(structure)
     edge_ids = walk.edges
     index = {eid: i for i, eid in enumerate(edge_ids)}

@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 import json
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Container, NamedTuple, Optional
 
 from .model import ANNIHILATION, FLAVORS, NODE_KINDS, PRODUCTION, InvalidStructureError
 
@@ -85,11 +85,11 @@ class Endpoint(NamedTuple):
 
     @staticmethod
     def from_json(obj: object, where: str) -> "Endpoint":
-        if type(obj) is dict and len(obj) == 2:  # the common well-formed shapes, checked in full below otherwise
+        if isinstance(obj, dict) and len(obj) == 2:  # the well-formed shapes; anything else only picks its error
             node, port, side = obj.get("node"), obj.get("port"), obj.get("side")
-            if type(node) is str and port in _PORT_NAMES:
+            if isinstance(node, str) and port in _PORT_NAMES:
                 return Endpoint(node, port)
-            if side in (PAST, FUTURE) and type(obj.get("terminal")) is str:
+            if side in (PAST, FUTURE) and isinstance(obj.get("terminal"), str):
                 return Endpoint(None, None, obj["terminal"], side)
         if not isinstance(obj, dict):
             raise ParseError(f"{where}: endpoint must be an object, got {type(obj).__name__}")
@@ -102,12 +102,8 @@ class Endpoint(NamedTuple):
             if not isinstance(obj[key], str):
                 raise ParseError(f"{where}.{key}: must be a string, got {type(obj[key]).__name__}")
         if "port" in keys:
-            if obj["port"] not in _MIRROR_PORT:
-                raise ParseError(f"{where}: unknown port {obj['port']!r}")
-            return Endpoint.at_port(obj["node"], obj["port"])
-        if obj["side"] not in (PAST, FUTURE):
-            raise ParseError(f"{where}: side must be '{PAST}' or '{FUTURE}', got {obj['side']!r}")
-        return Endpoint.at_terminal(obj["terminal"], obj["side"])
+            raise ParseError(f"{where}: unknown port {obj['port']!r}")
+        raise ParseError(f"{where}: side must be '{PAST}' or '{FUTURE}', got {obj['side']!r}")
 
 
 class Edge(NamedTuple):
@@ -153,6 +149,17 @@ def memo(structure: Structure, build: Callable):
     if entry is None:
         entry = derived[build] = build(structure)
     return entry
+
+
+def check_partial(edges: Container[str], partial: dict[str, str]) -> None:
+    """Raise ValueError for a partial assignment naming an edge not in
+    `edges` or holding a non-flavor; the solver and `render` share it."""
+    unknown = [eid for eid in partial if eid not in edges]
+    if unknown:
+        raise ValueError(f"assignment mentions unknown edges: {', '.join(sorted(unknown))}")
+    bad = [v for v in partial.values() if v not in FLAVORS]
+    if bad:
+        raise ValueError(f"assignment contains non-flavor values: {', '.join(map(repr, sorted(bad)))}")
 
 
 class NodeOrder(NamedTuple):

@@ -334,15 +334,20 @@ def test_least_counterexample_matches_the_enumerating_oracle(sweep_by_enumeratio
     assert len(found) == 14 and sum("B" in inputs.values() for inputs in found) == 3
 
 
-def test_an_all_a_counterexample_takes_two_runs(monkeypatch):
-    # one to find that some input strands, one to find that the all-A one does
-    runs = []
-    decide = solver.has_stranding_input
-    monkeypatch.setattr(analysis, "has_stranding_input", lambda *args: runs.append(args) or decide(*args))
+def count_passes(monkeypatch):
+    """The `least_stranding_input` calls `check_all_inputs` makes, recorded."""
+    passes = []
+    decide = solver.least_stranding_input
+    monkeypatch.setattr(analysis, "least_stranding_input", lambda *args: passes.append(args) or decide(*args))
+    return passes
+
+
+def test_an_all_a_counterexample_takes_one_pass(monkeypatch):
+    passes = count_passes(monkeypatch)
     report = check_all_inputs(relabelled(build_chain(400), "h_left.400", "h_right.400"))
     assert report.checked == 1
     assert set(report.counterexample[1].values()) == {"A"} and len(report.counterexample[1]) == 803
-    assert len(runs) == 2
+    assert len(passes) == 1
 
 
 def late_b(k):
@@ -363,13 +368,8 @@ def test_a_late_b_matches_the_enumerating_oracle(sweep_by_enumeration):
         assert [e for e, v in inputs.items() if v != "A"] == ([f"l_out.{k}"] if k > 1 else [])
 
 
-def test_a_late_b_takes_logarithmically_many_runs(monkeypatch):
-    # one run to find that some input strands; then, for the run of A's
-    # before the B and for the one after it, a binary search over its length
-    # and one run for the flavor that ends it
-    runs = []
-    decide = solver.has_stranding_input
-    monkeypatch.setattr(analysis, "has_stranding_input", lambda *args: runs.append(args) or decide(*args))
+def test_a_late_b_takes_one_pass(monkeypatch):
+    passes = count_passes(monkeypatch)
     scenario = late_b(80)
     report = check_all_inputs(scenario)
     inputs = report.counterexample[1]
@@ -377,7 +377,14 @@ def test_a_late_b_takes_logarithmically_many_runs(monkeypatch):
     assert len(edges) == 163 and edges.index("l_out.80") == 82
     assert [e for e, v in inputs.items() if v != "A"] == ["l_out.80"] and len(inputs) == 163
     assert report.checked == 3 ** 80 + 1
-    assert len(runs) <= 1 + 2 * (len(edges).bit_length() + 1)
+    assert len(passes) == 1
+
+
+def test_a_late_b_on_chain_400():
+    report = check_all_inputs(late_b(400))
+    inputs = report.counterexample[1]
+    assert report.checked == 3 ** 400 + 1
+    assert [e for e, v in inputs.items() if v != "A"] == ["l_out.400"] and len(inputs) == 803
 
 
 def test_unknown_inputs_keep_the_search_message():

@@ -583,6 +583,12 @@ def test_render_chain_zero_is_usage_error():
     assert run(["render", "--builder", "pyramid"]).exit_code == 2
 
 
+def test_a_chain_builder_needs_an_integer(capsys):
+    assert run(["render", "--builder", "chain:x"]).exit_code == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: --builder chain:K needs an integer, got 'chain:x'\n")
+
+
 @pytest.mark.parametrize("command", ["render", "consistency", "solve"])
 def test_an_empty_structure_path_is_a_missing_file(command, capsys):
     assert run([command, "--structure", ""]).exit_code == 2

@@ -46,11 +46,11 @@ EXPORTS = {
 }
 
 
-def loaded_after(code: str) -> set:
-    """The modules a fresh interpreter has loaded after running `code`."""
+def loaded_after(code: str, *flags: str) -> set:
+    """The modules a fresh interpreter, started with `flags`, has loaded after running `code`."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     script = f"import sys\n{code}\nprint(' '.join(sys.modules))"
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env, check=True)
     return set(proc.stdout.splitlines()[-1].split())
 
 
@@ -102,6 +102,20 @@ def test_every_module_loads_without_dataclasses_and_prob_brings_fractions():
     loaded = loaded_after(f"import {modules}")
     assert "fractions" in loaded
     assert "dataclasses" not in loaded
+
+
+def test_every_module_and_command_runs_on_the_standard_library_alone():
+    # -S leaves site-packages off the path; only stdlib and the package may load
+    modules = ", ".join(f"helsinki.{m}" for m in [*EXPORTS, "cli"])
+    commands = [
+        ["table"], ["prob", "--left", "B", "--center", "A", "--right", "B"],
+        ["render", "--builder", "chain:2"], ["consistency", "--max-cells", "3"],
+    ]
+    runs = "".join(f"assert helsinki.cli.run({command!r}).exit_code == 0\n" for command in commands)
+    loaded = loaded_after(f"import {modules}\n{runs}", "-S")
+    assert "helsinki.prob" in loaded and "helsinki.render" in loaded
+    outside = {m.partition(".")[0] for m in loaded} - set(sys.stdlib_module_names) - {"helsinki", "__main__"}
+    assert not outside
 
 
 def test_the_render_name_stays_the_function_after_its_module_loads():

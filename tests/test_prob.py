@@ -17,6 +17,7 @@ from helsinki.structure import (
     PAST,
     Edge,
     Endpoint,
+    INTERVENTION,
     Scenario,
     Structure,
     build_h_cell,
@@ -126,6 +127,14 @@ def test_signalling_score_zero_for_detached_target():
     assert signalling_score(scenario, "z2", "r_in", context) == ZERO
 
 
+def test_signalling_score_names_the_remote_value_with_no_completion():
+    # a hidden edge read as an intervention: c_in = h_left = l_in = A leaves
+    # two homogeneous nodes linked, whatever r_in is
+    scenario = Scenario(CELL.structure, {**CELL.roles, "h_left": INTERVENTION})
+    with pytest.raises(EmptySupportError, match=r"^remote value A: no admissible completion"):
+        signalling_score(scenario, "r_out", "r_in", {"c_in": "A", "h_left": "A", "l_in": "A"})
+
+
 def test_signalling_score_validates_roles():
     with pytest.raises(ValueError, match="intervention"):
         signalling_score(CELL, "l_out", "h_left", {"l_in": "B", "c_in": "A", "r_in": "B"})
@@ -157,6 +166,11 @@ def test_epistemic_weights_shift_with_future_settings():
 def test_epistemic_rejects_unknown_keys():
     with pytest.raises(ValueError):
         epistemic_state("A", {"c_in": "A"})
+
+
+def test_epistemic_rejects_non_flavor_settings():
+    with pytest.raises(ValueError, match=r"^known\['l_in'\]: unknown flavor 'Z'$"):
+        epistemic_state("A", {"l_in": "Z"})
 
 
 def test_support_matches_solver_solutions():

@@ -1,6 +1,9 @@
+import re
+
 import pytest
 
 from helsinki.render import render
+from helsinki.solver import has_completion
 from helsinki.structure import (
     FUTURE,
     PAST,
@@ -66,6 +69,20 @@ def test_render_rejects_unknown_format():
 def test_render_rejects_unknown_assignment_edges():
     with pytest.raises(ValueError):
         render(build_h_cell(), {"ghost": "A"}, "ascii")
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "graph"])
+@pytest.mark.parametrize("pins", [{"c_in": "Z"}, {"l_in": "B", "c_in": "Z", "r_in": "Y"}, {"ghost": "A", "c_in": "Z"}])
+def test_render_rejects_pins_with_the_solver_message(fmt, pins):
+    with pytest.raises(ValueError) as search:
+        has_completion(build_h_cell().structure, pins)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(search.value))}$"):
+        render(build_h_cell(), pins, fmt)
+
+
+def test_render_names_a_non_flavor_pin():
+    with pytest.raises(ValueError, match=r"^assignment contains non-flavor values: 'Z'$"):
+        render(build_h_cell(), {"c_in": "Z"})
 
 
 def test_render_reports_invalid_structure():

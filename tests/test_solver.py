@@ -1,5 +1,6 @@
 import copy
 import functools
+import itertools
 import pickle
 import random
 import re
@@ -16,8 +17,8 @@ from helsinki.solver import (
     complete,
     count_completions,
     has_completion,
-    has_stranding_input,
     is_admissible,
+    least_stranding_input,
 )
 from helsinki.structure import (
     FUTURE,
@@ -308,7 +309,7 @@ def test_copies_and_pickles_start_with_nothing_derived(duplicate):
     assert twin == structure and twin is not structure
     assert twin._derived == {}
     assert (count_completions(twin, {}), count_completions(twin, partial)) == counts
-    assert has_stranding_input(twin, {}, ["c_in"]) == has_stranding_input(structure, {}, ["c_in"])
+    assert least_stranding_input(twin, {}, ["c_in"]) == least_stranding_input(structure, {}, ["c_in"])
 
 
 @pytest.mark.parametrize("search", [complete, count_completions, has_completion])
@@ -344,7 +345,7 @@ def test_counting_layout_is_compiled_once(monkeypatch):
     count_completions(structure, {})
     counter = memo(structure, solver._compile_counter)
     count_completions(structure, {"c_in": "A"})
-    assert not has_stranding_input(structure, {}, ["c_in", "l_in.1"])
+    assert least_stranding_input(structure, {}, ["c_in", "l_in.1"]) is None
     assert memo(structure, solver._compile_counter) is counter
     assert len(layouts) == 1
     # the same few projections repeat cell after cell
@@ -466,6 +467,21 @@ def test_all_inputs_check_matches_enumeration_on_relabelled_roles(sweep_by_enume
     assert (report.checked, found) == sweep_by_enumeration(scenario)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(RELABELLED)), st.data())
+def test_least_stranding_input_matches_enumeration(name, data):
+    # forall may repeat an edge or pin one in partial; partial may pin any edge
+    structure = RELABELLED[name].structure
+    edges = sorted(structure.edges)
+    forall = data.draw(st.lists(st.sampled_from(edges), max_size=6))
+    partial = data.draw(st.dictionaries(st.sampled_from(edges), st.sampled_from(FLAVORS), max_size=3))
+    chosen = sorted(set(forall))
+    free = [e for e in chosen if e not in partial]
+    pins = ({**partial, **dict(zip(free, choice))} for choice in itertools.product(FLAVORS, repeat=len(free)))
+    least = next(({e: p[e] for e in chosen} for p in pins if not has_completion(structure, p)), None)
+    assert least_stranding_input(structure, partial, forall) == least
+
+
 @pytest.mark.parametrize(
     "partial, forall",
     [({}, ["ghost"]), ({"alpha": "A"}, ["c_in", "ghost"]), ({"c_in": "X"}, ["l_in"]), ({"c_in": "X"}, ["ghost"])],
@@ -474,14 +490,15 @@ def test_stranding_decision_rejects_edges_with_the_search_message(partial, foral
     with pytest.raises(ValueError) as search:
         has_completion(CELL, {**dict.fromkeys(forall, "A"), **partial})
     with pytest.raises(ValueError, match=f"^{re.escape(str(search.value))}$"):
-        has_stranding_input(CELL, partial, forall)
+        least_stranding_input(CELL, partial, forall)
 
 
 def test_stranding_decision_reads_pins_and_choices():
-    assert not has_stranding_input(CELL, {}, ["c_in", "l_in", "r_in"])
-    assert has_stranding_input(CELL, {"c_in": "A"}, ["h_left", "l_in"])  # h_left = l_in = A
-    assert not has_stranding_input(CELL, {"c_in": "A", "l_in": "B"}, ["h_left"])
+    assert least_stranding_input(CELL, {}, ["c_in", "l_in", "r_in"]) is None
+    # h_left = l_in = A
+    assert least_stranding_input(CELL, {"c_in": "A"}, ["h_left", "l_in"]) == {"h_left": "A", "l_in": "A"}
+    assert least_stranding_input(CELL, {"c_in": "A", "l_in": "B"}, ["h_left"]) is None
     # a pinned edge is not chosen again, and a contradiction strands anyway
-    assert not has_stranding_input(CELL, {"c_in": "A", "h_left": "B"}, ["h_left", "l_in"])
-    assert has_stranding_input(CELL, LINKED_HOMOGENEOUS_TOTAL, [])
-    assert not has_stranding_input(free_line().structure, {}, ["w"])
+    assert least_stranding_input(CELL, {"c_in": "A", "h_left": "B"}, ["h_left", "l_in"]) is None
+    assert least_stranding_input(CELL, LINKED_HOMOGENEOUS_TOTAL, []) is not None
+    assert least_stranding_input(free_line().structure, {}, ["w"]) is None
