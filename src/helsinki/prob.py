@@ -5,11 +5,14 @@ the uniform distribution over all admissible completions of the chosen
 inputs, and every number downstream (marginals, signalling scores,
 epistemic weights) is relative to that choice. All arithmetic is exact
 rational; distributions serialize as strings like "1/3", never floats.
+Marginals are summed exactly, as integers over one common denominator,
+so weights must be `int` or `Fraction`; any other weight is a TypeError.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -31,9 +34,9 @@ def completion_distribution(scenario: Scenario, inputs: Assignment) -> Completio
     `inputs` must cover every intervention edge; it may additionally pin
     hidden or output edges, which conditions the distribution on them.
     """
-    missing = [e for e in intervention_edges(scenario) if e not in inputs]
+    missing = [e for e, role in scenario.roles.items() if role == INTERVENTION and e not in inputs]
     if missing:
-        raise ValueError(f"inputs must cover every intervention edge; missing: {', '.join(missing)}")
+        raise ValueError(f"inputs must cover every intervention edge; missing: {', '.join(sorted(missing))}")
     result = complete(scenario.structure, inputs)
     if not result.solutions:
         raise EmptySupportError(f"no admissible completion for inputs {dict(sorted(inputs.items()))}")
@@ -42,13 +45,27 @@ def completion_distribution(scenario: Scenario, inputs: Assignment) -> Completio
 
 
 def marginal(dist: CompletionDistribution, edge: str) -> dict[str, Fraction]:
-    """Pushforward of the distribution to the flavor at one edge."""
+    """Pushforward of the distribution to the flavor at one edge.
+
+    Sums each flavor's weights as integer numerators over one common
+    denominator, grown only when a weight's denominator does not divide it,
+    and reduces once at the end; weights must be `int` or `Fraction`."""
     if not dist.support or edge not in dist.support[0][0]:
         raise ValueError(f"unknown edge {edge!r}")
-    out = {f: Fraction(0) for f in FLAVORS}
+    sums = dict.fromkeys(FLAVORS, 0)
+    den = 1
     for assignment, p in dist.support:
-        out[assignment[edge]] += p
-    return out
+        try:
+            num, d = p.numerator, p.denominator
+        except AttributeError:
+            raise TypeError(f"weight {p!r} is not an exact rational (int or Fraction)") from None
+        if den % d:
+            grow = d // math.gcd(den, d)
+            den *= grow
+            for f in sums:
+                sums[f] *= grow
+        sums[assignment[edge]] += num * (den // d)
+    return {f: Fraction(n, den) for f, n in sums.items()}
 
 
 def total_variation(d1: dict[str, Fraction], d2: dict[str, Fraction]) -> Fraction:

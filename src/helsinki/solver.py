@@ -124,12 +124,15 @@ def _compile(structure: Structure) -> _Plan:
 
 def _pins(plan: _Plan, partial: Assignment) -> list[Optional[str]]:
     """The partial as a flavor (or None) per edge index, checked against
-    the plan's edge index."""
+    the plan's edge index in the same pass; a bad entry hands the whole
+    partial to `check_partial`, which names every bad entry."""
     index = plan.index
-    check_partial(index, partial)
     pin: list[Optional[str]] = [None] * len(plan.edge_ids)
     for eid, flavor in partial.items():
-        pin[index[eid]] = flavor
+        i = index.get(eid)
+        if i is None or flavor not in FLAVORS:
+            check_partial(index, partial)
+        pin[i] = flavor
     return pin
 
 

@@ -159,7 +159,11 @@ def check_partial(edges: Container[str], partial: dict[str, str]) -> None:
         raise ValueError(f"assignment mentions unknown edges: {', '.join(sorted(unknown))}")
     bad = [v for v in partial.values() if v not in FLAVORS]
     if bad:
-        raise ValueError(f"assignment contains non-flavor values: {', '.join(map(repr, sorted(bad)))}")
+        try:
+            bad = sorted(bad)
+        except TypeError:  # values of mixed types: order them by how they print
+            bad = sorted(bad, key=repr)
+        raise ValueError(f"assignment contains non-flavor values: {', '.join(map(repr, bad))}")
 
 
 class NodeOrder(NamedTuple):

@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -66,3 +67,17 @@ def sweep_by_enumeration():
         return 3 ** len(edges), None
 
     return sweep
+
+
+@pytest.fixture(scope="session")
+def marginal_by_fractions():
+    """The pushforward of a distribution to one edge, adding one `Fraction`
+    per weighted assignment: the plain oracle of `prob.marginal`."""
+
+    def pushforward(dist, edge):
+        out = {f: Fraction(0) for f in FLAVORS}
+        for assignment, p in dist.support:
+            out[assignment[edge]] += p
+        return out
+
+    return pushforward

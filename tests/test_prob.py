@@ -1,9 +1,12 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helsinki.model import ALL_PERMUTATIONS, FLAVORS, apply_permutation
 from helsinki.prob import (
+    CompletionDistribution,
     EmptySupportError,
     completion_distribution,
     epistemic_state,
@@ -11,7 +14,7 @@ from helsinki.prob import (
     signalling_score,
     total_variation,
 )
-from helsinki.solver import complete
+from helsinki.solver import complete, count_completions
 from helsinki.structure import (
     FUTURE,
     PAST,
@@ -20,7 +23,10 @@ from helsinki.structure import (
     INTERVENTION,
     Scenario,
     Structure,
+    build_chain,
     build_h_cell,
+    intervention_edges,
+    observation_edges,
 )
 
 AA, BC, CB = ("A", "A"), ("B", "C"), ("C", "B")
@@ -96,6 +102,45 @@ def test_marginal_commutes_with_permutation():
         direct = marginal(completion_distribution(CELL, apply_permutation(p, base_inputs)), "l_out")
         original = marginal(completion_distribution(CELL, base_inputs), "l_out")
         assert direct == {p[f]: original[f] for f in FLAVORS}
+
+
+weights = st.one_of(
+    st.integers(-20, 20),
+    st.fractions(min_value=-5, max_value=5, max_denominator=60),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_marginal_equals_the_per_solution_fraction_sum(marginal_by_fractions, data):
+    # mixed denominators, zero and negative weights, and often a flavor that never occurs
+    present = data.draw(st.lists(st.sampled_from(FLAVORS), min_size=1, max_size=3, unique=True))
+    support = data.draw(st.lists(st.tuples(st.sampled_from(present), weights), min_size=1, max_size=12))
+    dist = CompletionDistribution([({"e": flavor}, weight) for flavor, weight in support])
+    result = marginal(dist, "e")
+    assert result == marginal_by_fractions(dist, "e")
+    assert list(result) == list(FLAVORS)
+    assert all(type(p) is Fraction for p in result.values())
+
+
+def test_marginal_rejects_a_float_weight():
+    dist = CompletionDistribution([({"e": "A"}, Fraction(1, 2)), ({"e": "B"}, 0.5)])
+    with pytest.raises(TypeError, match=r"^weight 0\.5 "):
+        marginal(dist, "e")
+
+
+def test_marginals_on_chain_2_are_ratios_of_counts():
+    # an independent route: the counting dynamic program never enumerates
+    chain = build_chain(2)
+    edges = intervention_edges(chain)
+    for combo in itertools.product(FLAVORS, repeat=len(edges)):
+        pins = dict(zip(edges, combo))
+        dist = completion_distribution(chain, pins)
+        total = count_completions(chain.structure, pins)
+        for edge in observation_edges(chain):
+            assert marginal(dist, edge) == {
+                f: Fraction(count_completions(chain.structure, {**pins, edge: f}), total) for f in FLAVORS
+            }
 
 
 def test_total_variation():

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from helsinki import solver
 from helsinki.analysis import check_all_inputs
 from helsinki.model import ALL_PERMUTATIONS, ANNIHILATION, FLAVORS, PRODUCTION, apply_permutation
+from helsinki.render import render
 from helsinki.solver import (
     brute_force_complete,
     complete,
@@ -324,7 +325,14 @@ def test_cached_plan_still_checks_the_partial(search, partial):
 
 @pytest.mark.parametrize("search", [complete, count_completions, has_completion])
 @pytest.mark.parametrize(
-    "partial", [{"ghost": "A", "alpha": "B"}, {"c_in": "X", "l_in": "Q"}, {"ghost": "X", "c_in": "Y"}]
+    "partial",
+    [
+        {"ghost": "A", "alpha": "B"},
+        {"c_in": "X", "l_in": "Q"},
+        {"ghost": "X", "c_in": "Y"},
+        {"c_in": 0, "r_in": "Y"},
+        {"c_in": None, "l_in": [1]},
+    ],
 )
 def test_engine_rejects_a_partial_with_the_oracle_message(search, partial):
     # the engine checks pins against its plan; the oracle builds its own sets
@@ -332,6 +340,29 @@ def test_engine_rejects_a_partial_with_the_oracle_message(search, partial):
         brute_force_complete(CELL, partial)
     with pytest.raises(ValueError, match=f"^{re.escape(str(oracle.value))}$"):
         search(CELL, partial)
+
+
+non_flavors = st.one_of(
+    st.integers(),
+    st.none(),
+    st.floats(),
+    st.text(max_size=3).filter(lambda text: text not in FLAVORS),
+    st.lists(st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_non_flavor_pin_of_any_type_is_a_value_error(data):
+    edges = sorted(CELL.edges)
+    bad = data.draw(st.dictionaries(st.sampled_from(edges), non_flavors, min_size=1, max_size=3))
+    good = data.draw(st.dictionaries(st.sampled_from(edges), st.sampled_from(FLAVORS), max_size=4))
+    partial = {**good, **bad}
+    calls = [functools.partial(f, CELL) for f in (complete, has_completion, count_completions)]
+    for call in calls + [functools.partial(render, build_h_cell())]:
+        with pytest.raises(ValueError, match="^assignment contains non-flavor values: ") as error:
+            call(partial)
+        assert all(repr(value) in str(error.value) for value in bad.values())
 
 
 def test_counting_layout_is_compiled_once(monkeypatch):
