@@ -156,14 +156,19 @@ def check_partial(edges: Container[str], partial: dict[str, str]) -> None:
     `edges` or holding a non-flavor; the solver and `render` share it."""
     unknown = [eid for eid in partial if eid not in edges]
     if unknown:
-        raise ValueError(f"assignment mentions unknown edges: {', '.join(sorted(unknown))}")
+        names = (eid if isinstance(eid, str) else repr(eid) for eid in _in_order(unknown))
+        raise ValueError(f"assignment mentions unknown edges: {', '.join(names)}")
     bad = [v for v in partial.values() if v not in FLAVORS]
     if bad:
-        try:
-            bad = sorted(bad)
-        except TypeError:  # values of mixed types: order them by how they print
-            bad = sorted(bad, key=repr)
-        raise ValueError(f"assignment contains non-flavor values: {', '.join(map(repr, bad))}")
+        raise ValueError(f"assignment contains non-flavor values: {', '.join(map(repr, _in_order(bad)))}")
+
+
+def _in_order(items: list) -> list:
+    """`items` sorted; by how they print when their types do not compare."""
+    try:
+        return sorted(items)
+    except TypeError:
+        return sorted(items, key=repr)
 
 
 class NodeOrder(NamedTuple):
@@ -272,7 +277,7 @@ def _walk(structure: Structure) -> NodeOrder:
 
 def node_order(structure: Structure) -> NodeOrder:
     """The one walk over a structure's graph, made once per object;
-    validation, the solver plan, path depth and rendering all read it."""
+    validation, the solver layout, path depth and rendering all read it."""
     return memo(structure, _walk)
 
 

@@ -53,6 +53,51 @@ def chain_count():
 
 
 @pytest.fixture(scope="session")
+def chain_solutions():
+    """The admissible completions of `pins` on chain:K in canonical order,
+    composed cell by cell from the brute-force solutions of one cell,
+    sharing no code with the solver.
+
+    Cell i's edges take the suffix `.i`, but its `c_in` is `c_mid.i` after
+    the first cell and its `r_out` is the next cell's `c_mid`; a homogeneous
+    production may not follow a homogeneous right annihilation.
+    """
+    homogeneous = lambda *flavors: len(set(flavors)) == 1
+    cell = brute_force_complete(build_h_cell().structure, {})
+
+    def solutions(k: int, pins: dict) -> list:
+        def name(edge, i):
+            if k == 1:
+                return edge
+            if edge == "c_in":
+                return "c_in" if i == 1 else f"c_mid.{i}"
+            if edge == "r_out" and i < k:
+                return f"c_mid.{i + 1}"
+            return f"{edge}.{i}"
+
+        # (assignment so far, right annihilation of the last cell homogeneous)
+        partials = [({}, False)]
+        for i in range(1, k + 1):
+            center, grown = name("c_in", i), []
+            for a in cell:
+                renamed = {name(e, i): f for e, f in a.items()}
+                if any(pins.get(e, f) != f for e, f in renamed.items()):
+                    continue
+                production = homogeneous(a["c_in"], a["h_left"], a["h_right"])
+                annihilation = homogeneous(a["h_right"], a["r_in"], a["r_out"])
+                grown += [
+                    ({**done, **renamed}, annihilation)
+                    for done, banned in partials
+                    if done.get(center, a["c_in"]) == a["c_in"] and not (banned and production)
+                ]
+            partials = grown
+        edges = sorted(partials[0][0]) if partials else []
+        return sorted((a for a, _ in partials), key=lambda a: [a[e] for e in edges])
+
+    return solutions
+
+
+@pytest.fixture(scope="session")
 def sweep_by_enumeration():
     """(checked, least stranding inputs or None) of a scenario, found by one
     depth-first search per intervention assignment in sorted-edge

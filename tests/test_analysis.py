@@ -269,9 +269,9 @@ def test_consistency_sweep_matches_enumeration(sweep_by_enumeration):
 
 def test_consistency_sweep_runs_no_search(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a depth-first search ran")
+        raise AssertionError("a depth-first walk ran")
 
-    monkeypatch.setattr(solver, "_search", refuse)
+    monkeypatch.setattr(solver, "_walk", refuse)
     report = consistency_sweep(4)
     assert (report.checked, report.counterexample) == (22140, None)
 

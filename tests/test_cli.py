@@ -509,7 +509,7 @@ TEXT_CASES = [
     ),
     pytest.param(
         ["solve", "--structure", "CELL", "--assign", "l_in=B", "--assign", "c_in=A", "--assign", "r_in=A"], None,
-        "solutions: 2 (explored 16 candidates)\n"
+        "solutions: 2 (explored 8 candidates)\n"
         "  c_in=A h_left=B h_right=C l_in=B l_out=B r_in=A r_out=B\n"
         "  c_in=A h_left=C h_right=B l_in=B l_out=A r_in=A r_out=C\n",
         0, id="solve",

@@ -152,16 +152,48 @@ def test_complete_is_deterministic():
 
 @pytest.mark.parametrize(
     "partial, explored, solutions",
-    [({}, 92532, 28776), ({"h_left.2": "A", "l_out.3": "B"}, 17520, 3220)],
+    [({}, 44919, 28776), ({"h_left.2": "A", "l_out.3": "B"}, 6401, 3220)],
 )
 def test_chain_three_search_effort_is_pinned(partial, explored, solutions):
-    # the visit order decides `explored`; these figures pin it
+    # the layout and the visit order decide `explored`; these figures pin it
     result = complete(build_chain(3).structure, partial)
     assert (result.explored, len(result.solutions)) == (explored, solutions)
 
 
 def test_has_completion_on_a_thousand_cells():
     assert has_completion(build_chain(1000).structure, {})
+
+
+def test_has_completion_does_not_spread_free_wires():
+    # each wire no node reads multiplies the completions by 3
+    wire = lambda w: Edge(Endpoint.at_terminal(w, PAST), Endpoint.at_terminal(w, FUTURE))
+    assert has_completion(Structure({}, {f"w{i}": wire(f"w{i}") for i in range(40)}), {})
+
+
+def late_contradiction(k):
+    """chain:K with its last left annihilation made {A, A, B}."""
+    return build_chain(k).structure, {f"l_out.{k}": "A", f"h_left.{k}": "A", f"l_in.{k}": "B"}
+
+
+def early_contradiction_reversed(k):
+    """reverse_time(chain:K) with the node that was its first production
+    made {A, A, B}."""
+    return reverse_time(build_chain(k)).structure, {"c_in": "A", "h_left.1": "A", "h_right.1": "B"}
+
+
+@pytest.mark.parametrize("family", [late_contradiction, early_contradiction_reversed])
+def test_a_contradiction_costs_the_same_per_cell(family):
+    # a depth-first search that re-enters dead frontiers grows about 20x
+    # per added cell on both families
+    effort = []
+    for k in range(2, 31):
+        structure, pins = family(k)
+        assert not has_completion(structure, pins)
+        result = complete(structure, pins)
+        assert result.solutions == [] and count_completions(structure, pins) == 0
+        effort.append(result.explored)
+        if k > 3:  # fail fast: a regression here is exponential
+            assert effort[-1] - effort[-2] == effort[-2] - effort[-3], effort
 
 
 def test_count_on_400_cells_pinned_to_an_inhomogeneous_witness(chain_400_witness):
@@ -214,8 +246,8 @@ def test_count_keeps_a_narrow_frontier_on_reversed_chains():
     # a topological order would count every left production of a reversed
     # chain before any of its annihilations: a frontier as wide as the chain
     forward, backward = build_chain(100).structure, reverse_time(build_chain(100)).structure
-    steps, _ = solver._compile_counter(backward)
-    assert max(len(project(range(16))) for _, _, project in steps) <= 3
+    steps = memo(backward, solver._compile).steps
+    assert max(len(moves.project(range(16))) for _, _, moves in steps) <= 3
     assert count_completions(backward, {}) == count_completions(forward, {})
 
 
@@ -305,7 +337,7 @@ def test_copies_and_pickles_start_with_nothing_derived(duplicate):
     structure = build_chain(3).structure
     partial = {"c_in": "B", "l_out.3": "A"}
     counts = count_completions(structure, {}), count_completions(structure, partial)
-    assert len(structure._derived) == 3  # walk, plan and counting layout
+    assert len(structure._derived) == 2  # walk and layout
     twin = duplicate(structure)
     assert twin == structure and twin is not structure
     assert twin._derived == {}
@@ -365,22 +397,51 @@ def test_a_non_flavor_pin_of_any_type_is_a_value_error(data):
         assert all(repr(value) in str(error.value) for value in bad.values())
 
 
+@pytest.mark.parametrize(
+    "partial, named",
+    [
+        ({0: "A"}, "0"),
+        ({1: "A", "x": "B"}, "x, 1"),  # ordered by how they print
+        ({None: "A"}, "None"),
+        ({"ghost": "A", "alpha": "B"}, "alpha, ghost"),
+    ],
+)
+def test_an_edge_that_is_not_a_string_is_a_value_error(partial, named):
+    with pytest.raises(ValueError, match=f"^assignment mentions unknown edges: {re.escape(named)}$"):
+        has_completion(CELL, partial)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_an_unknown_edge_of_any_type_is_a_value_error(data):
+    keys = st.one_of(st.integers(), st.none(), st.tuples(st.integers()), st.text(max_size=3))
+    unknown = keys.filter(lambda key: key not in CELL.edges)
+    bad = data.draw(st.dictionaries(unknown, st.sampled_from(FLAVORS), min_size=1))
+    good = data.draw(st.dictionaries(st.sampled_from(sorted(CELL.edges)), st.sampled_from(FLAVORS), max_size=4))
+    partial = {**good, **bad}
+    calls = [functools.partial(f, CELL) for f in (complete, has_completion, count_completions)]
+    calls += [lambda p: least_stranding_input(CELL, p, ["c_in"]), functools.partial(render, build_h_cell())]
+    for call in calls:
+        with pytest.raises(ValueError, match="^assignment mentions unknown edges: ") as error:
+            call(partial)
+        assert all((key if isinstance(key, str) else repr(key)) in str(error.value) for key in bad)
+
+
 def test_counting_layout_is_compiled_once(monkeypatch):
     layouts = []
     narrow = solver._narrow_order
     monkeypatch.setattr(solver, "_narrow_order", lambda *a: layouts.append(a) or narrow(*a))
     structure = build_chain(100).structure
     assert complete(structure, {"c_in": "A", "h_left.1": "A", "h_right.1": "B"}).solutions == []
+    layout = memo(structure, solver._compile)
     assert has_completion(structure, {})
-    assert not layouts  # searches never pay for it
     count_completions(structure, {})
-    counter = memo(structure, solver._compile_counter)
     count_completions(structure, {"c_in": "A"})
     assert least_stranding_input(structure, {}, ["c_in", "l_in.1"]) is None
-    assert memo(structure, solver._compile_counter) is counter
+    assert memo(structure, solver._compile) is layout
     assert len(layouts) == 1
-    # the same few projections repeat cell after cell
-    assert len({id(project) for _, _, project in counter[0]}) <= 6
+    # the same few moves tables serve cell after cell
+    assert len({id(moves) for _, _, moves in layout.steps}) <= 6
 
 
 @pytest.mark.parametrize("search", [complete, count_completions, has_completion])
@@ -448,8 +509,6 @@ ORACLE_STRUCTURES = {
     "diamond": diamond().structure,
     "wired cell": wired_cell().structure,
 }
-#: too many edges for a brute-force scan; held to the depth-first search
-SEARCH_STRUCTURES = {"reversed chain:3": reverse_time(build_chain(3)).structure}
 
 
 @functools.lru_cache(maxsize=None)
@@ -460,17 +519,49 @@ def all_admissible(name):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(sorted(ORACLE_STRUCTURES) + sorted(SEARCH_STRUCTURES)), st.data())
+@given(st.sampled_from(sorted(ORACLE_STRUCTURES)), st.data())
 def test_search_matches_oracle_under_random_pins(name, data):
-    structure = ORACLE_STRUCTURES.get(name) or SEARCH_STRUCTURES[name]
+    structure = ORACLE_STRUCTURES[name]
     partial = data.draw(st.dictionaries(st.sampled_from(sorted(structure.edges)), st.sampled_from(FLAVORS)))
     solutions = complete(structure, partial).solutions
     if name == "chain:1":
         assert solutions == brute_force_complete(structure, partial)
-    elif name in ORACLE_STRUCTURES:
+    else:
         assert solutions == [a for a in all_admissible(name) if all(a[e] == v for e, v in partial.items())]
     assert count_completions(structure, partial) == len(solutions)
     assert has_completion(structure, partial) == bool(solutions)
+
+
+#: too many edges for a brute-force scan; held to chains composed from the cell's brute-force solutions
+COMPOSED_STRUCTURES = {"chain:3": build_chain(3).structure, "reversed chain:3": reverse_time(build_chain(3)).structure}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(COMPOSED_STRUCTURES)), st.data())
+def test_search_matches_composed_cells_under_random_pins(chain_solutions, name, data):
+    structure = COMPOSED_STRUCTURES[name]
+    partial = data.draw(st.dictionaries(st.sampled_from(sorted(structure.edges)), st.sampled_from(FLAVORS), min_size=1))
+    solutions = complete(structure, partial).solutions
+    assert solutions == chain_solutions(3, partial)
+    assert count_completions(structure, partial) == len(solutions)
+    assert has_completion(structure, partial) == bool(solutions)
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSED_STRUCTURES))
+def test_a_branch_point_yielding_one_completion_stays_live(chain_solutions, name):
+    # a walk that marks a branch point dead once it has yielded at most one
+    # completion keeps 858 of these 920
+    partial = {"l_out.3": "A", "r_in.3": "A", "h_right.3": "A"}
+    solutions = complete(COMPOSED_STRUCTURES[name], partial).solutions
+    assert len(solutions) == 920 and solutions == chain_solutions(3, partial)
+
+
+@pytest.mark.parametrize("k, count", [(1, 66), (2, 1380), (3, 28776)])
+def test_reversing_time_keeps_the_solutions(chain_solutions, k, count):
+    solutions = chain_solutions(k, {})
+    assert len(solutions) == count
+    assert complete(build_chain(k).structure, {}).solutions == solutions
+    assert complete(reverse_time(build_chain(k)).structure, {}).solutions == solutions
 
 
 # --- the all-inputs decision against one search per input ---
