@@ -85,11 +85,12 @@ def _builder(name: str):
     if name == "h-cell":
         return build_h_cell()
     if name.startswith("chain:"):
-        try:
-            k = int(name.split(":", 1)[1])
-        except ValueError as exc:
-            raise ValueError(f"--builder chain:K needs an integer, got {name!r}") from exc
-        return build_chain(k)
+        k = name[len("chain:"):]
+        digits = k[1:] if k.startswith("-") else k
+        # ASCII digits only: int() would also take "2_0", " 2", "+2" and non-ASCII digits
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"--builder chain:K needs an integer, got {name!r}")
+        return build_chain(int(k))
     raise ValueError(f"unknown builder {name!r}; expected h-cell or chain:K")
 
 

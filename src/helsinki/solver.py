@@ -17,24 +17,26 @@ Each structure object is compiled once, from `structure.node_order`, into
 one layout, kept on the object (`structure.memo`), so a structure must not
 be mutated after its first search, and a copy starts with nothing derived.
 The layout takes the nodes one at a time in an order that keeps the
-frontier narrow; the frontier holds the values that link the nodes taken
-so far to the rest (bucket elimination; a transfer matrix on chains). Per
-node it keeps a moves table: (frontier + the node's pins) -> the node's
-admissible fillings, each with the frontier it leads to. Entries are made
-on first use, and one table serves every node, of any structure, that is
-read alike. All four searches read those tables. `complete` and
-`has_completion` walk them depth-first with an explicit stack of open
-branch points, so no recursion limit bounds the depth; a branch point
-left without a solution marks its (node, frontier) dead, and no later
-path enters it again, so a dead end costs once. `explored` counts the
-moves the walk examines. `count_completions` never enumerates: it keeps,
-per frontier, the number of partial assignments reaching it, so the count
-is exact and its time is linear in the number of nodes times the frontier
-size. `least_stranding_input` runs the same tables over sets of
-frontiers, each with the least choice of some edges reaching it, to find
-the least choice that leaves no completion in one pass. Structures are
-assumed to satisfy `validate_topology`; builders and the file parser only
-hand over valid ones.
+frontier narrow (bucket elimination; a transfer matrix on chains). The
+frontier is the live edges, those between the nodes taken so far and the
+rest, each with the value its taken node gave it: the edge's flavor,
+marked when that node is homogeneous, so the other node reads its ban off
+the edge. Per node the layout keeps a moves table: (frontier + the node's
+pins) -> the node's admissible fillings, each with the frontier it leads
+to. Entries are made on first use, and one table serves every node, of
+any structure, that is read alike. All four searches read those tables.
+`complete` and `has_completion` walk them depth-first with an explicit
+stack of open branch points, so no recursion limit bounds the depth; a
+branch point left without a solution marks its (node, frontier) dead, and
+no later path enters it again, so a dead end costs once. `explored`
+counts the moves the walk examines. `count_completions` never enumerates:
+it keeps, per frontier, the number of partial assignments reaching it, so
+the count is exact and its time is linear in the number of nodes times
+the frontier size. `least_stranding_input` runs the same tables over sets
+of frontiers, each with the least choice of some edges reaching it, to
+find the least choice that leaves no completion in one pass. Structures
+are assumed to satisfy `validate_topology`; builders and the file parser
+only hand over valid ones.
 """
 
 from __future__ import annotations
@@ -84,26 +86,34 @@ def is_admissible(structure: Structure, assignment: Assignment) -> bool:
 #: a node's admissible (flavor, flavor, flavor, homogeneous), in any port order
 _FILLINGS = tuple((*t, len(set(t)) == 1) for t in itertools.product(FLAVORS, repeat=3) if node_admissible(t))
 
+#: the values a filling gives the node's edges: its flavors, lower-cased
+#: when the node is homogeneous, so that a neighbour reads the ban off the
+#: edge. Pins are flavors and never lower case.
+_GIVES = {f: tuple(v.lower() if f[3] else v for v in f[:3]) for f in _FILLINGS}
+
 
 class _Moves(dict):
     """(frontier + the pins of a node's edges) -> the node's admissible
     (filling, next frontier) pairs; a filling is one of `_FILLINGS` over
-    its edges. Each entry is made on first use, so two threads at worst
-    make one twice."""
+    its edges. A frontier value is what a counted node gave a live edge
+    (`_GIVES`), so a node may not be homogeneous when one of its edges
+    reads lower case. Each entry is made on first use, so two threads at
+    worst make one twice."""
 
     __slots__ = ("reads", "project")
 
-    def __init__(self, reads: Callable[[tuple], tuple], project: Callable[[tuple], tuple]) -> None:
-        #: the key's known flavors of the node's edges, then its counted neighbours' flags
+    def __init__(self, reads: tuple[int, ...], project: tuple[int, ...]) -> None:
+        #: where the key holds each of the node's edges: in the frontier, else its pin
         self.reads = reads
-        #: the next frontier from (the key + a filling)
+        #: the next frontier, as indices into (the key + the values the filling gives its edges)
         self.project = project
 
     def __missing__(self, key: tuple) -> tuple[tuple[tuple, tuple], ...]:
-        a, b, c, *flags = self.reads(key)
-        banned = any(flags)
+        known = [key[j] for j in self.reads]
+        banned = any(v is not None and v.islower() for v in known)
+        a, b, c = (v and v.upper() for v in known)
         moves = self[key] = tuple(
-            (f, self.project(key + f))
+            (f, tuple((key + _GIVES[f])[j] for j in self.project))
             for f in _FILLINGS
             if a in (None, f[0]) and b in (None, f[1]) and c in (None, f[2]) and not (banned and f[3])
         )
@@ -123,79 +133,60 @@ class _Layout(NamedTuple):
     loose: tuple[int, ...]
 
 
-def _getter(indices: tuple[int, ...]) -> Callable[[Sequence], tuple]:
-    """The entries at `indices` as a tuple. Never one index: a node reads
-    its three edges, and a live edge keeps its counted node's flag live."""
-    return itemgetter(*indices) if indices else lambda values: ()
-
-
-@functools.lru_cache(maxsize=None)
-def _moves(reads: tuple[int, ...], project: tuple[int, ...]) -> _Moves:
-    """The one moves table of a (reads, project) pattern, kept for the life
-    of the process. Patterns index the key, not the structure, so the cells
-    of a chain, and every chain, share the same few tables."""
-    return _Moves(_getter(reads), _getter(project))
-
-
-def _narrow_order(edges: dict[int, tuple[int, ...]], touching: dict[int, list[int]]) -> list[int]:
-    """Nodes, each next the one with the most edges to counted nodes (ties
-    in topological order): a chain is counted cell by cell in either direction."""
-    links: dict[int, Optional[int]] = dict.fromkeys(edges, 0)
-    heap = [(0, k) for k in edges]
-    order: list[int] = []
-    while heap:
-        negative, k = heapq.heappop(heap)
-        if links[k] != -negative:
-            continue  # counted already, or a stale entry
-        links[k] = None
-        order.append(k)
-        for m in (m for e in edges[k] for m in touching[e] if links[m] is not None):
-            links[m] += 1
-            heapq.heappush(heap, (-links[m], m))
-    return order
+#: the one moves table of a (reads, project) pattern, kept for the life of
+#: the process. Patterns index the key, not the structure, so the cells of a
+#: chain, and every chain, share the same few tables.
+_moves = functools.lru_cache(maxsize=None)(_Moves)
 
 
 def _compile(structure: Structure) -> _Layout:
     """The frontier layout, straight from `structure.node_order`.
 
-    Nodes are counted one at a time; the frontier holds what links counted
-    nodes to uncounted ones: the flavor of each edge between them and the
-    homogeneous flag of each counted node with an uncounted neighbour. A
-    node reads its edges' flavors (from the frontier, else the pins) and
-    its counted neighbours' flags, appends a filling and projects onto
-    what stays live. The node rule and the ban are symmetric, so the order
-    need not be topological: it is chosen to keep the frontier narrow.
+    Nodes are counted one at a time, each next the one with the most edges
+    to counted nodes (ties in topological order), so a chain is counted
+    cell by cell in either direction. The frontier holds the live edges,
+    those between counted and uncounted nodes, each with the value its
+    counted node gave it. A node reads its edges (from the frontier, else
+    the pins), appends a filling and projects onto what stays live: the
+    frontier edges it did not read and its own edges to uncounted nodes.
+    The node rule and the ban are symmetric, so the order need not be
+    topological: it is chosen to keep the frontier narrow.
     """
     walk = node_order(structure)
     if len(walk.order) < len(structure.nodes):
         raise ValueError("structure contains a directed cycle; validate it first")
     index = {eid: i for i, eid in enumerate(walk.edges)}
-    edges = {k: tuple(index[eid] for eid in walk.ports[nid].values()) for k, nid in enumerate(walk.order)}
+    edges = [tuple(index[eid] for eid in walk.ports[nid].values()) for nid in walk.order]
     touching: dict[int, list[int]] = {}
-    for k, incident in edges.items():
+    for k, incident in enumerate(edges):
         for e in incident:
             touching.setdefault(e, []).append(k)
-    order = _narrow_order(edges, touching)
-    position = {k: s for s, k in enumerate(order)}
-    # a frontier value is an edge index, or ~k for node k's flag; the last
-    # step that reads it
-    last = {e: max(position[k] for k in ks) for e, ks in touching.items()}
-    last.update({~k: max(last[e] for e in incident) for k, incident in edges.items()})
 
+    links: list[Optional[int]] = [0] * len(edges)  # edges to counted nodes; None once counted
+    heap = [(0, k) for k in range(len(edges))]
     frontier: list[int] = []
     steps = []
-    for s, k in enumerate(order):
+    while heap:
+        negative, k = heapq.heappop(heap)
+        if links[k] != -negative:
+            continue  # counted already, or a stale entry
+        links[k] = None
         incident = edges[k]
-        # (frontier + the pins of its edges) and (frontier + a filling)
-        # line up: an edge not in the frontier reads its pin
-        after = frontier + list(incident) + [~k]
-        reads = [after.index(e) for e in incident]
-        reads += sorted({after.index(~m) for e in incident for m in touching[e] if position[m] < s})
-        keep = [j for j, value in enumerate(after) if last[value] > s]
-        # a move projects (frontier + pins + filling): past the frontier, skip the 3 pins
-        project = tuple(j + 3 * (j >= len(frontier)) for j in keep)
-        steps.append((incident, itemgetter(*incident), _moves(tuple(reads), project)))
-        frontier = [after[j] for j in keep]
+        # the key is (frontier + the pins of its edges): an edge not in the frontier reads its pin
+        reads = tuple(frontier.index(e) if e in frontier else len(frontier) + i for i, e in enumerate(incident))
+        project = [j for j, e in enumerate(frontier) if e not in incident]
+        live = [frontier[j] for j in project]
+        for i, e in enumerate(incident):
+            uncounted = [m for m in touching[e] if links[m] is not None]
+            if uncounted:
+                # past the frontier, skip the 3 pins to the value given
+                project.append(len(frontier) + 3 + i)
+                live.append(e)
+            for m in uncounted:
+                links[m] += 1
+                heapq.heappush(heap, (-links[m], m))
+        steps.append((incident, itemgetter(*incident), _moves(reads, tuple(project))))
+        frontier = live
     return _Layout(walk.edges, index, tuple(steps), tuple(index[eid] for eid in walk.loose))
 
 

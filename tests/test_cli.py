@@ -589,6 +589,19 @@ def test_a_chain_builder_needs_an_integer(capsys):
     assert (captured.out, captured.err) == ("", "error: --builder chain:K needs an integer, got 'chain:x'\n")
 
 
+@pytest.mark.parametrize("name", ["chain:2_0", "chain: 2", "chain:+2", "chain:\u0663", "chain:", "chain:-"])
+def test_a_chain_builder_takes_ascii_digits_only(name, capsys):
+    assert run(["render", "--builder", name]).exit_code == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: --builder chain:K needs an integer, got {name!r}\n")
+
+
+@pytest.mark.parametrize("name, cells", [("chain:-1", -1), ("chain:-0", 0)])
+def test_a_signed_chain_length_reaches_the_builder(name, cells, capsys):
+    assert run(["render", "--builder", name]).exit_code == 2
+    assert capsys.readouterr().err == f"error: chain needs at least 1 cell, got {cells}\n"
+
+
 @pytest.mark.parametrize("command", ["render", "consistency", "solve"])
 def test_an_empty_structure_path_is_a_missing_file(command, capsys):
     assert run([command, "--structure", ""]).exit_code == 2

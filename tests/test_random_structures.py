@@ -1,0 +1,104 @@
+"""Properties of the solver on random valid structures, not only cells and chains.
+
+A drawn structure alternates node kinds along every internal edge and has
+random past and future terminals; its node ids are shuffled out of
+topological order, so the solver's narrow order need not follow the ids.
+"""
+
+import itertools
+
+from hypothesis import assume, given, settings, strategies as st
+
+from helsinki.model import ANNIHILATION, FLAVORS, PRODUCTION
+from helsinki.solver import (
+    brute_force_complete,
+    complete,
+    count_completions,
+    has_completion,
+    least_stranding_input,
+)
+from helsinki.structure import (
+    FUTURE,
+    IN_PORTS,
+    OUT_PORTS,
+    PAST,
+    PORTS,
+    Edge,
+    Endpoint,
+    Scenario,
+    Structure,
+    reverse_time,
+    validate_topology,
+)
+
+
+@st.composite
+def structures(draw, nodes=st.integers(1, 4)):
+    """A random valid structure, time-reversed half of the time.
+
+    Nodes are made in topological order under shuffled ids. Each out-port
+    feeds a free in-port of a later node of the other kind, or a future
+    terminal; in-ports left free are fed from past terminals; a wire may
+    run from the past straight to the future.
+    """
+    n = draw(nodes)
+    kinds = draw(st.lists(st.sampled_from([PRODUCTION, ANNIHILATION]), min_size=n, max_size=n))
+    names = draw(st.permutations([f"n{i}" for i in range(n)]))
+    free = [(j, port) for j in range(n) for port in PORTS[kinds[j]] if port in IN_PORTS]
+    wires = []  # (source, target); None for a terminal
+    for i in range(n):
+        for port in (p for p in PORTS[kinds[i]] if p in OUT_PORTS):
+            target = draw(st.sampled_from([None] + [(j, p) for j, p in free if j > i and kinds[j] != kinds[i]]))
+            if target is not None:
+                free.remove(target)
+                target = Endpoint.at_port(names[target[0]], target[1])
+            wires.append((Endpoint.at_port(names[i], port), target))
+    wires += [(None, Endpoint.at_port(names[j], port)) for j, port in free]
+    if draw(st.booleans()):
+        wires.append((None, None))
+    ids = draw(st.permutations([f"e{k}" for k in range(len(wires))]))
+    edges = {
+        eid: Edge(source or Endpoint.at_terminal(eid, PAST), target or Endpoint.at_terminal(eid, FUTURE))
+        for eid, (source, target) in zip(ids, wires)
+    }
+    scenario = Scenario.derive(Structure(dict(zip(names, kinds)), edges))
+    if draw(st.booleans()):
+        scenario = reverse_time(scenario)
+    assert validate_topology(scenario.structure) == []
+    return scenario.structure
+
+
+def pins(structure, most=None):
+    return st.dictionaries(st.sampled_from(sorted(structure.edges)), st.sampled_from(FLAVORS), max_size=most)
+
+
+@settings(max_examples=60, deadline=None)
+@given(structures(nodes=st.integers(2, 4)), st.data())
+def test_engine_matches_brute_force_on_random_structures(structure, data):
+    # the oracle visits all 3^|edges| assignments: about 60 ms at 10 edges, 0.6 s at 12
+    assume(len(structure.edges) <= 10)
+    partial = data.draw(pins(structure, 2))
+    assert complete(structure, partial).solutions == brute_force_complete(structure, partial)
+
+
+@settings(max_examples=100, deadline=None)
+@given(structures(nodes=st.integers(5, 9)), st.data())
+def test_count_and_decision_agree_with_enumeration_on_random_structures(structure, data):
+    partial = data.draw(pins(structure))
+    count = count_completions(structure, partial)
+    assert has_completion(structure, partial) == (count > 0)
+    if count <= 5000:
+        assert len(complete(structure, partial).solutions) == count
+
+
+@settings(max_examples=100, deadline=None)
+@given(structures(nodes=st.integers(1, 9)), st.data())
+def test_least_stranding_input_matches_enumeration_on_random_structures(structure, data):
+    edges = sorted(structure.edges)
+    forall = data.draw(st.lists(st.sampled_from(edges), max_size=3, unique=True))
+    partial = data.draw(pins(structure, 4))
+    free = [e for e in forall if e not in partial]
+    # choices in rank order: base 3 over the sorted free edges, A < B < C
+    choices = ({**partial, **dict(zip(sorted(free), c))} for c in itertools.product(FLAVORS, repeat=len(free)))
+    least = next(({e: c[e] for e in sorted(forall)} for c in choices if not has_completion(structure, c)), None)
+    assert least_stranding_input(structure, partial, forall) == least
