@@ -216,7 +216,7 @@ def _cmd_prob(args) -> tuple[dict, int]:
         dist_edge = prob.marginal(dist, args.marginal)
         distribution = {f: str(dist_edge[f]) for f in FLAVORS}
         return {"inputs": triple.label(), "edge": args.marginal, "distribution": distribution}, 0
-    support = [{"assignment": dict(sorted(a.items())), "probability": str(p)} for a, p in dist.support]
+    support = [{"assignment": a, "probability": str(p)} for a, p in dist.support]
     return {"inputs": triple.label(), "support": support}, 0
 
 
@@ -260,7 +260,7 @@ def _cmd_solve(args) -> tuple[dict, int]:
     result = complete(scenario.structure, assigned)
     body["count"] = len(result.solutions)
     body["explored"] = result.explored
-    body["solutions"] = [dict(sorted(a.items())) for a in result.solutions]
+    body["solutions"] = result.solutions
     return body, 0
 
 

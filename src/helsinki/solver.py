@@ -26,9 +26,11 @@ pins) -> the node's admissible fillings, each with the frontier it leads
 to. Entries are made on first use, and one table serves every node, of
 any structure, that is read alike. All four searches read those tables.
 `complete` and `has_completion` walk them depth-first with an explicit
-stack of open branch points, so no recursion limit bounds the depth; a
-branch point left without a solution marks its (node, frontier) dead, and
-no later path enters it again, so a dead end costs once. `explored`
+stack of open branch points, so no recursion limit bounds the depth, and
+write each filling into one running assignment; each solution of
+`complete` is a copy of it, a dict in sorted edge order. A branch point
+left without a solution marks its (node, frontier) dead, and no later
+path enters it again, so a dead end costs once. `explored`
 counts the moves the walk examines. `count_completions` never enumerates:
 it keeps, per frontier, the number of partial assignments reaching it, so
 the count is exact and its time is linear in the number of nodes times
@@ -190,6 +192,14 @@ def _compile(structure: Structure) -> _Layout:
     return _Layout(walk.edges, index, tuple(steps), tuple(index[eid] for eid in walk.loose))
 
 
+def _named(structure: Structure) -> tuple[tuple, ...]:
+    """The layout's steps with edge ids in place of edge indices, for a walk
+    that writes into a dict; made on the first `complete` only, so searches
+    that never enumerate keep no second copy of the steps."""
+    layout = memo(structure, _compile)
+    return tuple((tuple(layout.edge_ids[e] for e in incident), *step) for incident, *step in layout.steps)
+
+
 def _pins(layout: _Layout, partial: Assignment) -> list[Optional[str]]:
     """The partial as a flavor (or None) per edge index, checked against
     the layout's edge index in the same pass; a bad entry hands the whole
@@ -204,22 +214,23 @@ def _pins(layout: _Layout, partial: Assignment) -> list[Optional[str]]:
     return pin
 
 
-def _walk(layout: _Layout, pin: list[Optional[str]], limit: Optional[int] = None) -> tuple[list[tuple], int]:
-    """Depth-first over the layout's moves: the solutions (flavor tuples in
-    edge order, free loose edges None, unsorted, at most `limit`) and the
-    moves examined.
+def _walk(steps: Sequence[tuple], pin: list[Optional[str]], values: list | dict,
+          limit: Optional[int] = None) -> tuple[list, int]:
+    """Depth-first over a layout's moves: the solutions (copies of
+    `values`, at most `limit`, unsorted) and the moves examined.
 
-    Only a step with a choice opens a branch point. One closed without a
-    solution marks its (step, frontier) dead: the frontier alone decides
-    what the later steps admit, so no later path enters it again.
+    Each step writes its filling into `values`, the running assignment, at
+    its edges: `_Layout.steps` name them by index, for a list, and `_named`
+    by id, for a dict. Only a step with a choice opens a branch point. One
+    closed without a solution marks its (step, frontier) dead: the frontier
+    alone decides what the later steps admit, so no later path enters it
+    again.
     """
-    steps = layout.steps
     end = len(steps)
     keys = [pins_of(pin) for _, pins_of, _ in steps]
-    values = list(pin)
     stack: list[tuple] = []  # open branch points: (step, frontier, moves, next to try, solutions before)
     dead: set[tuple[int, tuple]] = set()
-    solutions: list[tuple] = []
+    solutions: list = []
     explored = s = 0
     frontier: tuple = ()
 
@@ -236,7 +247,7 @@ def _walk(layout: _Layout, pin: list[Optional[str]], limit: Optional[int] = None
             (values[a], values[b], values[c], _), frontier = moves[0]
             s += 1
         else:
-            solutions.append(tuple(values))
+            solutions.append(values.copy())
             if len(solutions) == limit:
                 break
         # a solution or a dead end: resume at the latest open branch point
@@ -258,21 +269,25 @@ def _walk(layout: _Layout, pin: list[Optional[str]], limit: Optional[int] = None
 
 def complete(structure: Structure, partial: Assignment) -> SolveResult:
     """Every total admissible assignment extending `partial`, in canonical
-    order. Exhaustive; an empty list means the inputs admit nothing."""
+    order, each a fresh dict (a copy of the walk's running assignment) with
+    its keys in sorted edge order. Exhaustive; an empty list means the
+    inputs admit nothing."""
     layout = memo(structure, _compile)
     pin = _pins(layout, partial)
-    solutions, explored = _walk(layout, pin)
+    solutions, explored = _walk(memo(structure, _named), pin, dict(zip(layout.edge_ids, pin)))
     for e in layout.loose:
         if pin[e] is None:
-            solutions = [s[:e] + (f,) + s[e + 1:] for s in solutions for f in FLAVORS]
-    solutions.sort()
-    return SolveResult([dict(zip(layout.edge_ids, s)) for s in solutions], explored)
+            solutions = [{**s, layout.edge_ids[e]: f} for s in solutions for f in FLAVORS]
+    # the values run in sorted edge order, so this is the canonical order
+    solutions.sort(key=lambda s: tuple(s.values()))
+    return SolveResult(solutions, explored)
 
 
 def has_completion(structure: Structure, partial: Assignment) -> bool:
     """Whether at least one admissible completion exists (early exit)."""
     layout = memo(structure, _compile)
-    solutions, _ = _walk(layout, _pins(layout, partial), limit=1)
+    pin = _pins(layout, partial)
+    solutions, _ = _walk(layout.steps, pin, pin, limit=1)  # the walk reads every pin before it writes
     return bool(solutions)
 
 
@@ -313,8 +328,8 @@ def least_stranding_input(structure: Structure, partial: Assignment, forall: Col
     Choices reaching the same member have the same futures and keep their order in any common
     extension, so the larger can go. An empty member records its rank; none above it is kept."""
     layout = memo(structure, _compile)
-    chosen = sorted(set(forall))
-    pin = _pins(layout, {**dict.fromkeys(chosen, FLAVORS[0]), **partial})
+    pin = _pins(layout, {**dict.fromkeys(forall, FLAVORS[0]), **partial})
+    chosen = sorted(set(forall))  # edge ids only, now that the pins are checked
     free = [e for e in chosen if e not in partial]
     weight = {e: 3 ** (len(free) - 1 - j) for j, e in enumerate(free)}
     unread = {layout.index[e]: w for e, w in weight.items()}

@@ -9,7 +9,7 @@ import itertools
 
 from hypothesis import assume, given, settings, strategies as st
 
-from helsinki.model import ANNIHILATION, FLAVORS, PRODUCTION
+from helsinki.model import ALL_PERMUTATIONS, ANNIHILATION, FLAVORS, PRODUCTION, apply_permutation
 from helsinki.solver import (
     brute_force_complete,
     complete,
@@ -27,19 +27,22 @@ from helsinki.structure import (
     Endpoint,
     Scenario,
     Structure,
+    parse_scenario,
     reverse_time,
+    serialize_scenario,
     validate_topology,
 )
 
 
 @st.composite
-def structures(draw, nodes=st.integers(1, 4)):
-    """A random valid structure, time-reversed half of the time.
+def scenarios(draw, nodes=st.integers(1, 4), loose=st.booleans()):
+    """A random valid scenario, time-reversed half of the time.
 
     Nodes are made in topological order under shuffled ids. Each out-port
     feeds a free in-port of a later node of the other kind, or a future
-    terminal; in-ports left free are fed from past terminals; a wire may
-    run from the past straight to the future.
+    terminal; in-ports left free are fed from past terminals; `loose`
+    wires (a count, or a bool for none or one) run from the past straight
+    to the future.
     """
     n = draw(nodes)
     kinds = draw(st.lists(st.sampled_from([PRODUCTION, ANNIHILATION]), min_size=n, max_size=n))
@@ -54,8 +57,7 @@ def structures(draw, nodes=st.integers(1, 4)):
                 target = Endpoint.at_port(names[target[0]], target[1])
             wires.append((Endpoint.at_port(names[i], port), target))
     wires += [(None, Endpoint.at_port(names[j], port)) for j, port in free]
-    if draw(st.booleans()):
-        wires.append((None, None))
+    wires += [(None, None)] * draw(loose)
     ids = draw(st.permutations([f"e{k}" for k in range(len(wires))]))
     edges = {
         eid: Edge(source or Endpoint.at_terminal(eid, PAST), target or Endpoint.at_terminal(eid, FUTURE))
@@ -65,7 +67,12 @@ def structures(draw, nodes=st.integers(1, 4)):
     if draw(st.booleans()):
         scenario = reverse_time(scenario)
     assert validate_topology(scenario.structure) == []
-    return scenario.structure
+    return scenario
+
+
+def structures(**kwargs):
+    """The structure of a random valid scenario (`scenarios` takes the same arguments)."""
+    return scenarios(**kwargs).map(lambda scenario: scenario.structure)
 
 
 def pins(structure, most=None):
@@ -102,3 +109,47 @@ def test_least_stranding_input_matches_enumeration_on_random_structures(structur
     choices = ({**partial, **dict(zip(sorted(free), c))} for c in itertools.product(FLAVORS, repeat=len(free)))
     least = next(({e: c[e] for e in sorted(forall)} for c in choices if not has_completion(structure, c)), None)
     assert least_stranding_input(structure, partial, forall) == least
+
+
+@settings(max_examples=60, deadline=None)
+@given(structures(nodes=st.integers(1, 4), loose=st.integers(1, 2)), st.data())
+def test_solutions_are_fresh_dicts_in_sorted_edge_order(structure, data):
+    edges = sorted(structure.edges)
+    loose = [e for e in edges if structure.edges[e].source.is_terminal and structure.edges[e].target.is_terminal]
+    # the first loose wire is pinned; a second one is free unless drawn among the other pins
+    partial = {**data.draw(pins(structure, 2)), loose[0]: data.draw(st.sampled_from(FLAVORS))}
+    before = list(partial.items())
+    solutions = complete(structure, partial).solutions
+    assert has_completion(structure, partial) == bool(solutions)
+    assert list(partial.items()) == before
+    assert all(list(solution) == edges for solution in solutions)
+    assert len({id(solution) for solution in solutions}) == len(solutions)
+    kept = [dict(solution) for solution in solutions]
+    if solutions:
+        solutions[0].update(dict.fromkeys(edges, "X"))
+        assert solutions[1:] == kept[1:]
+    assert complete(structure, partial).solutions == kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios(nodes=st.integers(1, 9)))
+def test_serialization_round_trips_byte_for_byte_on_random_structures(scenario):
+    text = serialize_scenario(scenario)
+    assert serialize_scenario(parse_scenario(text)) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios(nodes=st.integers(1, 9)), st.data())
+def test_count_is_the_same_in_both_time_directions_on_random_structures(scenario, data):
+    partial = data.draw(pins(scenario.structure))
+    backward = reverse_time(scenario).structure
+    assert count_completions(scenario.structure, partial) == count_completions(backward, partial)
+
+
+@settings(max_examples=40, deadline=None)
+@given(structures(nodes=st.integers(1, 4)), st.sampled_from(ALL_PERMUTATIONS), st.data())
+def test_permuting_the_pins_permutes_the_solutions_on_random_structures(structure, permutation, data):
+    partial = data.draw(pins(structure, 3))
+    permuted = complete(structure, apply_permutation(permutation, partial)).solutions
+    expected = [apply_permutation(permutation, solution) for solution in complete(structure, partial).solutions]
+    assert permuted == sorted(expected, key=lambda solution: tuple(solution.values()))

@@ -616,6 +616,18 @@ def test_stranding_decision_rejects_edges_with_the_search_message(partial, foral
         least_stranding_input(CELL, partial, forall)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.integers(-1, 1), st.none(), st.tuples(st.sampled_from(["c_in", "x"])),
+                          st.sampled_from(["c_in", "l_in", "ghost"])), min_size=1, max_size=4))
+def test_stranding_decision_rejects_unknown_edges_of_any_type(forall):
+    # the edges are checked before they are sorted, so mixed types are a ValueError, not a TypeError
+    assume(any(e not in CELL.edges for e in forall))
+    with pytest.raises(ValueError) as search:
+        has_completion(CELL, dict.fromkeys(forall, "A"))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(search.value))}$"):
+        least_stranding_input(CELL, {}, forall)
+
+
 def test_stranding_decision_reads_pins_and_choices():
     assert least_stranding_input(CELL, {}, ["c_in", "l_in", "r_in"]) is None
     # h_left = l_in = A
