@@ -8,8 +8,10 @@ symmetry-class reduction of the 27 input triples to 4 and the check that no
 choice of inputs ever strands a chain without a completion. That check
 enumerates no inputs: one `solver.least_stranding_input` pass decides it
 for all of them at once and returns the least counterexample.
-The cell is solved once per input triple per process (`cell_solutions`);
-every cell-level analysis here and in `prob` and `loops` reads that table.
+The cell's table (`cell_solutions`) is built straight from the node rules
+in `model`, once per input triple per process, so the cell-level analyses
+here and in `prob` and `loops` load no search engine; the engine is the
+table's oracle in the tests. Only the consistency checks load it.
 """
 
 from __future__ import annotations
@@ -17,17 +19,21 @@ from __future__ import annotations
 import functools
 import itertools
 from types import MappingProxyType
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .model import (
     ALL_PERMUTATIONS,
     FLAVORS,
+    Assignment,
     HiddenState,
     Permutation,
+    annihilation_output,
+    check_flavor,
     production_completions,
 )
-from .solver import Assignment, complete, least_stranding_input
-from .structure import Scenario, build_chain, build_h_cell, intervention_edges
+
+if TYPE_CHECKING:
+    from .structure import Scenario
 
 
 class InputTriple(NamedTuple):
@@ -90,9 +96,6 @@ class ConsistencyReport(NamedTuple):
     counterexample: Optional[tuple[Scenario, Assignment]]
 
 
-_CELL = build_h_cell()
-
-
 def apply_transform(t: InputTriple, transform: Transform) -> InputTriple:
     """Relabel flavors, then swap wings if reflected (the two commute)."""
     p = transform.permutation
@@ -109,10 +112,27 @@ def reflect_triple(t: InputTriple) -> InputTriple:
 @functools.cache
 def cell_solutions(t: InputTriple) -> tuple[MappingProxyType, ...]:
     """The basic cell's admissible assignments under the given inputs, in
-    canonical order. Each triple is solved once per process and the result
-    is shared by every caller, so it is a tuple of read-only mappings."""
-    result = complete(_CELL.structure, {"l_in": t.left, "c_in": t.center, "r_in": t.right})
-    return tuple(MappingProxyType(a) for a in result.solutions)
+    canonical order, each with its keys in sorted edge order: what
+    `solver.complete` gives on `build_h_cell()`, built from the node rules.
+
+    The production's outputs are one of its three completions, each
+    annihilation's output is fixed by its two inputs, and a homogeneous
+    production may not feed a homogeneous annihilation. The completions
+    come sorted and the inputs are fixed, so the order is canonical. Each
+    triple is built once per process and the result is shared by every
+    caller, so it is a tuple of read-only mappings.
+    """
+    left, center, right = map(check_flavor, t)
+    solutions = []
+    for h_left, h_right in production_completions(center):
+        if h_left == h_right and (h_left == left or h_right == right):
+            continue
+        solutions.append({
+            "c_in": center, "h_left": h_left, "h_right": h_right,
+            "l_in": left, "l_out": annihilation_output(h_left, left),
+            "r_in": right, "r_out": annihilation_output(h_right, right),
+        })
+    return tuple(MappingProxyType(a) for a in solutions)
 
 
 def hidden_state_set(t: InputTriple) -> set[HiddenState]:
@@ -127,6 +147,8 @@ def canonicalize_inputs(t: InputTriple) -> tuple[InputTriple, Transform]:
     least (left, right) among all images with center A. Returns the
     representative and one transform realizing it.
     """
+    for value in t:
+        check_flavor(value)
     best: Optional[tuple[InputTriple, Transform]] = None
     for p in ALL_PERMUTATIONS:
         if p[t.center] != "A":
@@ -207,6 +229,8 @@ def check_all_inputs(scenario: Scenario, family: str = "scenario") -> Consistenc
     counterexample is the least one and `checked` its rank, else all 3^n.
     One `least_stranding_input` pass decides every input and finds the least.
     """
+    from .solver import least_stranding_input
+    from .structure import intervention_edges
     structure, edges = scenario.structure, intervention_edges(scenario)
     inputs = least_stranding_input(structure, {}, edges)
     if inputs is None:
@@ -218,6 +242,7 @@ def check_all_inputs(scenario: Scenario, family: str = "scenario") -> Consistenc
 def consistency_sweep(max_cells: int) -> ConsistencyReport:
     """Check chains of 1..max_cells cells for inputs with no completion;
     ranked by cells, then as in `check_all_inputs`, the least is reported."""
+    from .structure import build_chain
     if max_cells < 1:
         raise ValueError(f"max_cells must be at least 1, got {max_cells}")
     checked = 0

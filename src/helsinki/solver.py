@@ -278,8 +278,10 @@ def complete(structure: Structure, partial: Assignment) -> SolveResult:
     for e in layout.loose:
         if pin[e] is None:
             solutions = [{**s, layout.edge_ids[e]: f} for s in solutions for f in FLAVORS]
-    # the values run in sorted edge order, so this is the canonical order
-    solutions.sort(key=lambda s: tuple(s.values()))
+    # the values run in sorted edge order, so this is the canonical order;
+    # each is a one-character flavor, so the joined string orders as the
+    # tuple of values does, and is cheaper to build and to compare
+    solutions.sort(key=lambda s: "".join(s.values()))
     return SolveResult(solutions, explored)
 
 

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from helsinki import analysis, solver
+from helsinki import analysis, loops, prob, solver
 from helsinki.analysis import (
     ALL_INPUT_TRIPLES,
     ConsistencyReport,
@@ -78,6 +78,12 @@ def test_hidden_set_equivariant():
 def test_canonicalize_examples(triple, expected):
     canonical, _ = canonicalize_inputs(InputTriple(*triple))
     assert canonical == InputTriple(*expected)
+
+
+@pytest.mark.parametrize("triple", [("D", "A", "B"), ("A", "D", "B"), ("A", "B", "D")])
+def test_canonicalize_rejects_a_non_flavor(triple):
+    with pytest.raises(ValueError, match="unknown flavor 'D'"):
+        canonicalize_inputs(InputTriple(*triple))
 
 
 def test_canonicalize_transform_realizes_image():
@@ -193,11 +199,7 @@ def test_homogeneous_hidden_state_forces_left_output():
 # --- the shared cell table ---
 
 
-def test_the_cell_is_solved_once_per_input_triple(monkeypatch):
-    from helsinki import loops, prob
-
-    calls = []
-    monkeypatch.setattr(analysis, "complete", lambda *args: calls.append(args) or solver.complete(*args))
+def test_the_cell_is_solved_once_per_input_triple():
     analysis.cell_solutions.cache_clear()
     state_table()
     retro_witnesses()
@@ -208,12 +210,37 @@ def test_the_cell_is_solved_once_per_input_triple(monkeypatch):
             prob.epistemic_state(center, known)
     for t in ALL_INPUT_TRIPLES:
         hidden_state_set(t)
-    assert len(calls) == 27  # 715 when each call site solved the cell itself
+    assert analysis.cell_solutions.cache_info().misses == 27  # 715 when each call site solved the cell itself
+
+
+@pytest.mark.parametrize("t", ALL_INPUT_TRIPLES, ids=InputTriple.label)
+def test_the_cell_table_is_what_the_engine_finds(t):
+    cell, inputs = build_h_cell().structure, {"l_in": t.left, "c_in": t.center, "r_in": t.right}
+    table = [dict(a) for a in analysis.cell_solutions(t)]
+    for solutions in (solver.complete(cell, inputs).solutions, solver.brute_force_complete(cell, inputs)):
+        assert table == solutions
+        assert [list(a) for a in table] == [list(a) for a in solutions]
+
+
+NON_FLAVOR_CALLS = {
+    "hidden-left": lambda: hidden_state_set(InputTriple("D", "A", "B")),
+    "hidden-center": lambda: hidden_state_set(InputTriple("A", "D", "B")),
+    "hidden-right": lambda: hidden_state_set(InputTriple("A", "B", "D")),
+    "loop-left": lambda: loops.solve_loop("D", "A", loops.parse_channel("ACB")),
+    "loop-center": lambda: loops.solve_loop("A", "D", loops.parse_channel("ACB")),
+    "epistemic-center": lambda: prob.epistemic_state("D"),
+    "epistemic-left": lambda: prob.epistemic_state("A", {"l_in": "D"}),
+    "epistemic-right": lambda: prob.epistemic_state("A", {"r_in": "D"}),
+}
+
+
+@pytest.mark.parametrize("call", NON_FLAVOR_CALLS.values(), ids=NON_FLAVOR_CALLS)
+def test_a_non_flavor_input_is_a_value_error_naming_it(call):
+    with pytest.raises(ValueError, match="'D'"):
+        call()
 
 
 def test_callers_cannot_change_the_cell_table():
-    from helsinki import loops
-
     t, channel = InputTriple("B", "A", "B"), loops.parse_channel("ACB")
     hidden_state_set(t).clear()
     assert hidden_state_set(t) == {AA, BC, CB}
@@ -338,7 +365,7 @@ def count_passes(monkeypatch):
     """The `least_stranding_input` calls `check_all_inputs` makes, recorded."""
     passes = []
     decide = solver.least_stranding_input
-    monkeypatch.setattr(analysis, "least_stranding_input", lambda *args: passes.append(args) or decide(*args))
+    monkeypatch.setattr(solver, "least_stranding_input", lambda *args: passes.append(args) or decide(*args))
     return passes
 
 

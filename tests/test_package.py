@@ -64,10 +64,19 @@ def test_importing_the_package_loads_no_submodule():
     assert "dataclasses" not in loaded
 
 
-def test_table_loads_only_the_analysis_layers():
-    loaded = loaded_after("from helsinki import cli\nassert cli.run(['table']).exit_code == 0")
-    assert {"helsinki.analysis", "helsinki.solver", "helsinki.structure"} <= loaded
-    assert not loaded & {"helsinki.prob", "helsinki.loops", "helsinki.render", "fractions", "dataclasses"}
+#: the search engine, which the cell table does without
+ENGINE = {"helsinki.solver", "helsinki.structure"}
+
+
+@pytest.mark.parametrize(
+    "argv", [["table"], ["hidden", "--left", "B", "--center", "A", "--right", "C"],
+             ["canon", "--left", "C", "--center", "B", "--right", "A"]],
+    ids=["table", "hidden", "canon"],
+)
+def test_cell_commands_load_only_the_analysis_layer(argv):
+    loaded = loaded_after(f"from helsinki import cli\nassert cli.run({argv!r}).exit_code == 0")
+    assert "helsinki.analysis" in loaded
+    assert not loaded & {*ENGINE, "helsinki.prob", "helsinki.loops", "helsinki.render", "fractions", "dataclasses"}
 
 
 def test_loop_loads_only_the_cell_table_layers():
@@ -75,8 +84,8 @@ def test_loop_loads_only_the_cell_table_layers():
         "from helsinki import cli\n"
         "assert cli.run(['loop', '--left', 'A', '--center', 'A', '--channel', 'ACB']).exit_code == 0"
     )
-    assert {"helsinki.loops", "helsinki.analysis", "helsinki.solver"} <= loaded
-    assert not loaded & {"helsinki.prob", "helsinki.render", "fractions", "dataclasses"}
+    assert {"helsinki.loops", "helsinki.analysis"} <= loaded
+    assert not loaded & {*ENGINE, "helsinki.prob", "helsinki.render", "fractions", "dataclasses"}
 
 
 def test_solve_loads_no_analysis(tmp_path):

@@ -5,11 +5,22 @@ random past and future terminals; its node ids are shuffled out of
 topological order, so the solver's narrow order need not follow the ids.
 """
 
+import contextlib
+import io
 import itertools
+import json
 
 from hypothesis import assume, given, settings, strategies as st
 
-from helsinki.model import ALL_PERMUTATIONS, ANNIHILATION, FLAVORS, PRODUCTION, apply_permutation
+from helsinki import cli
+from helsinki.model import (
+    ALL_PERMUTATIONS,
+    ANNIHILATION,
+    FLAVORS,
+    PRODUCTION,
+    InvalidStructureError,
+    apply_permutation,
+)
 from helsinki.solver import (
     brute_force_complete,
     complete,
@@ -25,10 +36,12 @@ from helsinki.structure import (
     PORTS,
     Edge,
     Endpoint,
+    ParseError,
     Scenario,
     Structure,
     parse_scenario,
     reverse_time,
+    parse_scenario_document,
     serialize_scenario,
     validate_topology,
 )
@@ -153,3 +166,70 @@ def test_permuting_the_pins_permutes_the_solutions_on_random_structures(structur
     permuted = complete(structure, apply_permutation(permutation, partial)).solutions
     expected = [apply_permutation(permutation, solution) for solution in complete(structure, partial).solutions]
     assert permuted == sorted(expected, key=lambda solution: tuple(solution.values()))
+
+
+#: one value of each JSON type, and strings and objects the format uses; a mutation puts one of another type
+JSON_VALUES = (None, True, 0, 1.5, "A", "past", "in1", [], ["A"], {}, {"node": "n0", "port": "in1"})
+#: names a renamed key may take: the format's own fields, a flavor, ids the drawn structures use, and ""
+KEY_NAMES = ("", "A", "from", "to", "node", "port", "side", "terminal", "nodes", "edges", "roles", "assignment",
+             "n0", "e0")
+#: the commands that read a structure file
+FILE_COMMANDS = (
+    ["solve"], ["solve", "--count-only"], ["render", "--format", "graph"], ["render", "--format", "ascii"],
+    ["consistency"],
+)
+
+
+def places(doc):
+    """(container, key) for every value in a JSON document, depth first."""
+    found = []
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        found.append((doc, key))
+        found += places(value)
+    return found
+
+
+@st.composite
+def mutated_documents(draw):
+    """A serialized random scenario, with random pins embedded half of the
+    time and its roles deleted half of the time, after 1-3 mutations: a
+    value replaced by one of another type, a key deleted, or a key renamed."""
+    scenario = draw(scenarios(nodes=st.integers(1, 5)))
+    assignment = draw(st.none() | pins(scenario.structure, 3))
+    doc = json.loads(serialize_scenario(scenario, assignment))
+    if draw(st.booleans()):  # the roles are optional, and any change to the edges breaks them
+        del doc["roles"]
+    for _ in range(draw(st.integers(1, 3))):
+        where = places(doc)
+        if not where:
+            break
+        container, key = draw(st.sampled_from(where))
+        kind = draw(st.sampled_from(["retype", "delete", "rename"] if isinstance(container, dict) else ["retype"]))
+        if kind == "retype":
+            old = container[key]
+            container[key] = draw(st.sampled_from([v for v in JSON_VALUES if type(v) is not type(old)]))
+        elif kind == "delete":
+            del container[key]
+        else:
+            container[draw(st.sampled_from(KEY_NAMES + tuple(container)))] = container.pop(key)
+    return json.dumps(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_documents())
+def test_mutated_documents_end_in_a_documented_exit_code(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(text)
+    try:
+        parse_scenario_document(text)
+        accepted = True
+    except (ParseError, InvalidStructureError):
+        accepted = False
+    for command in FILE_COMMANDS:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.run([command[0], "--structure", str(path), *command[1:]]).exit_code
+        assert code in (0, 1, 2), command
+        assert "error: internal:" not in err.getvalue(), (command, err.getvalue())
+        assert accepted or code != 0, command
