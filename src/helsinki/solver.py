@@ -24,11 +24,13 @@ marked when that node is homogeneous, so the other node reads its ban off
 the edge. Per node the layout keeps a moves table: (frontier + the node's
 pins) -> the node's admissible fillings, each with the frontier it leads
 to. Entries are made on first use, and one table serves every node, of
-any structure, that is read alike. All four searches read those tables.
-`complete` and `has_completion` walk them depth-first with an explicit
-stack of open branch points, so no recursion limit bounds the depth, and
-write each filling into one running assignment; each solution of
-`complete` is a copy of it, a dict in sorted edge order. A branch point
+any structure, that is read alike. The steps name each node's edges by
+id, and every search reads its pins from one dict, a copy of the
+layout's blank assignment in sorted edge order. All four searches read
+those tables. `complete` and `has_completion` walk them depth-first with
+an explicit stack of open branch points, so no recursion limit bounds the
+depth, and write each filling into that same pin dict once every pin is
+read; each solution of `complete` is a copy of it. A branch point
 left without a solution marks its (node, frontier) dead, and no later
 path enters it again, so a dead end costs once. `explored`
 counts the moves the walk examines. `count_completions` never enumerates:
@@ -123,16 +125,16 @@ class _Moves(dict):
 
 
 class _Layout(NamedTuple):
-    """A structure's one compiled form: its nodes as steps over its sorted edges."""
+    """A structure's one compiled form: its nodes as steps over its edge ids."""
 
-    edge_ids: list[str]
-    #: edge id -> its place in `edge_ids`
-    index: dict[str, int]
-    #: per node, in narrow order: its edge indices, a getter for their
-    #: pins, and its moves table (one table for the nodes read alike)
-    steps: tuple[tuple[tuple[int, ...], Callable[[Sequence], tuple], _Moves], ...]
+    #: every edge id, in sorted order, to None: the running assignment of
+    #: one search is a copy, so it holds its keys in sorted edge order
+    blank: dict[str, None]
+    #: per node, in narrow order: its edge ids, a getter for their pins,
+    #: and its moves table (one table for the nodes read alike)
+    steps: tuple[tuple[tuple[str, ...], Callable[[dict], tuple], _Moves], ...]
     #: edges no node reads, a factor of 3 each unless pinned
-    loose: tuple[int, ...]
+    loose: tuple[str, ...]
 
 
 #: the one moves table of a (reads, project) pattern, kept for the life of
@@ -157,16 +159,15 @@ def _compile(structure: Structure) -> _Layout:
     walk = node_order(structure)
     if len(walk.order) < len(structure.nodes):
         raise ValueError("structure contains a directed cycle; validate it first")
-    index = {eid: i for i, eid in enumerate(walk.edges)}
-    edges = [tuple(index[eid] for eid in walk.ports[nid].values()) for nid in walk.order]
-    touching: dict[int, list[int]] = {}
+    edges = [tuple(walk.ports[nid].values()) for nid in walk.order]
+    touching: dict[str, list[int]] = {}
     for k, incident in enumerate(edges):
         for e in incident:
             touching.setdefault(e, []).append(k)
 
     links: list[Optional[int]] = [0] * len(edges)  # edges to counted nodes; None once counted
     heap = [(0, k) for k in range(len(edges))]
-    frontier: list[int] = []
+    frontier: list[str] = []
     steps = []
     while heap:
         negative, k = heapq.heappop(heap)
@@ -189,42 +190,31 @@ def _compile(structure: Structure) -> _Layout:
                 heapq.heappush(heap, (-links[m], m))
         steps.append((incident, itemgetter(*incident), _moves(reads, tuple(project))))
         frontier = live
-    return _Layout(walk.edges, index, tuple(steps), tuple(index[eid] for eid in walk.loose))
+    return _Layout(dict.fromkeys(walk.edges), tuple(steps), tuple(walk.loose))
 
 
-def _named(structure: Structure) -> tuple[tuple, ...]:
-    """The layout's steps with edge ids in place of edge indices, for a walk
-    that writes into a dict; made on the first `complete` only, so searches
-    that never enumerate keep no second copy of the steps."""
-    layout = memo(structure, _compile)
-    return tuple((tuple(layout.edge_ids[e] for e in incident), *step) for incident, *step in layout.steps)
-
-
-def _pins(layout: _Layout, partial: Assignment) -> list[Optional[str]]:
-    """The partial as a flavor (or None) per edge index, checked against
-    the layout's edge index in the same pass; a bad entry hands the whole
-    partial to `check_partial`, which names every bad entry."""
-    index = layout.index
-    pin: list[Optional[str]] = [None] * len(layout.edge_ids)
+def _pins(layout: _Layout, partial: Assignment) -> dict[str, Optional[str]]:
+    """The partial as a flavor (or None) per edge id, in sorted edge order,
+    checked against the layout's edges in the same pass; a bad entry hands
+    the whole partial to `check_partial`, which names every bad entry."""
+    pin = layout.blank.copy()
     for eid, flavor in partial.items():
-        i = index.get(eid)
-        if i is None or flavor not in FLAVORS:
-            check_partial(index, partial)
-        pin[i] = flavor
+        if eid not in pin or flavor not in FLAVORS:
+            check_partial(pin, partial)
+        pin[eid] = flavor
     return pin
 
 
-def _walk(steps: Sequence[tuple], pin: list[Optional[str]], values: list | dict,
-          limit: Optional[int] = None) -> tuple[list, int]:
-    """Depth-first over a layout's moves: the solutions (copies of
-    `values`, at most `limit`, unsorted) and the moves examined.
+def _walk(steps: Sequence[tuple], pin: dict[str, Optional[str]], limit: Optional[int] = None) -> tuple[list, int]:
+    """Depth-first over a layout's moves: the solutions (copies of `pin`,
+    at most `limit`, unsorted) and the moves examined.
 
-    Each step writes its filling into `values`, the running assignment, at
-    its edges: `_Layout.steps` name them by index, for a list, and `_named`
-    by id, for a dict. Only a step with a choice opens a branch point. One
-    closed without a solution marks its (step, frontier) dead: the frontier
-    alone decides what the later steps admit, so no later path enters it
-    again.
+    `pin` is also the running assignment: each step writes its filling into
+    it at its edges. That is sound only because every step's pins are read
+    (`keys`) before the first write. Only a step with a choice opens a
+    branch point. One closed without a solution marks its (step, frontier)
+    dead: the frontier alone decides what the later steps admit, so no
+    later path enters it again.
     """
     end = len(steps)
     keys = [pins_of(pin) for _, pins_of, _ in steps]
@@ -244,10 +234,10 @@ def _walk(steps: Sequence[tuple], pin: list[Optional[str]], values: list | dict,
                 if not n or dead and (s, frontier) in dead:
                     break
                 stack.append((s, frontier, moves, 1, len(solutions)))
-            (values[a], values[b], values[c], _), frontier = moves[0]
+            (pin[a], pin[b], pin[c], _), frontier = moves[0]
             s += 1
         else:
-            solutions.append(values.copy())
+            solutions.append(pin.copy())
             if len(solutions) == limit:
                 break
         # a solution or a dead end: resume at the latest open branch point
@@ -261,7 +251,7 @@ def _walk(steps: Sequence[tuple], pin: list[Optional[str]], values: list | dict,
         else:
             break
         (a, b, c), _, _ = steps[s]
-        (values[a], values[b], values[c], _), frontier = moves[k]
+        (pin[a], pin[b], pin[c], _), frontier = moves[k]
         s += 1
 
     return solutions, explored
@@ -274,10 +264,10 @@ def complete(structure: Structure, partial: Assignment) -> SolveResult:
     inputs admit nothing."""
     layout = memo(structure, _compile)
     pin = _pins(layout, partial)
-    solutions, explored = _walk(memo(structure, _named), pin, dict(zip(layout.edge_ids, pin)))
+    solutions, explored = _walk(layout.steps, pin)
     for e in layout.loose:
-        if pin[e] is None:
-            solutions = [{**s, layout.edge_ids[e]: f} for s in solutions for f in FLAVORS]
+        if pin[e] is None:  # no step writes a loose edge
+            solutions = [{**s, e: f} for s in solutions for f in FLAVORS]
     # the values run in sorted edge order, so this is the canonical order;
     # each is a one-character flavor, so the joined string orders as the
     # tuple of values does, and is cheaper to build and to compare
@@ -288,8 +278,7 @@ def complete(structure: Structure, partial: Assignment) -> SolveResult:
 def has_completion(structure: Structure, partial: Assignment) -> bool:
     """Whether at least one admissible completion exists (early exit)."""
     layout = memo(structure, _compile)
-    pin = _pins(layout, partial)
-    solutions, _ = _walk(layout.steps, pin, pin, limit=1)  # the walk reads every pin before it writes
+    solutions, _ = _walk(layout.steps, _pins(layout, partial), limit=1)
     return bool(solutions)
 
 
@@ -334,7 +323,7 @@ def least_stranding_input(structure: Structure, partial: Assignment, forall: Col
     chosen = sorted(set(forall))  # edge ids only, now that the pins are checked
     free = [e for e in chosen if e not in partial]
     weight = {e: 3 ** (len(free) - 1 - j) for j, e in enumerate(free)}
-    unread = {layout.index[e]: w for e, w in weight.items()}
+    unread = dict(weight)
     members, least = {frozenset({()}): 0}, 3 ** len(free)  # above every rank: none found yet
     for incident, _, moves in layout.steps:
         options = [[(f, k * unread[e]) for k, f in enumerate(FLAVORS)] if e in unread else [(pin[e], 0)]

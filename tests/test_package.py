@@ -69,9 +69,9 @@ ENGINE = {"helsinki.solver", "helsinki.structure"}
 
 
 @pytest.mark.parametrize(
-    "argv", [["table"], ["hidden", "--left", "B", "--center", "A", "--right", "C"],
-             ["canon", "--left", "C", "--center", "B", "--right", "A"]],
-    ids=["table", "hidden", "canon"],
+    "argv", [["table"], ["classes"], ["hidden", "--left", "B", "--center", "A", "--right", "C"],
+             ["canon", "--left", "C", "--center", "B", "--right", "A"], ["retro"], ["nonlocal"]],
+    ids=["table", "classes", "hidden", "canon", "retro", "nonlocal"],
 )
 def test_cell_commands_load_only_the_analysis_layer(argv):
     loaded = loaded_after(f"from helsinki import cli\nassert cli.run({argv!r}).exit_code == 0")
@@ -79,11 +79,13 @@ def test_cell_commands_load_only_the_analysis_layer(argv):
     assert not loaded & {*ENGINE, "helsinki.prob", "helsinki.loops", "helsinki.render", "fractions", "dataclasses"}
 
 
-def test_loop_loads_only_the_cell_table_layers():
-    loaded = loaded_after(
-        "from helsinki import cli\n"
-        "assert cli.run(['loop', '--left', 'A', '--center', 'A', '--channel', 'ACB']).exit_code == 0"
-    )
+@pytest.mark.parametrize(
+    "argv", [["loop", "--left", "A", "--center", "A", "--channel", "ACB"], ["loop-sweep"],
+             ["loop-exclusions", "--left", "A", "--center", "A", "--channel", "ACB"]],
+    ids=["loop", "loop-sweep", "loop-exclusions"],
+)
+def test_loop_loads_only_the_cell_table_layers(argv):
+    loaded = loaded_after(f"from helsinki import cli\nassert cli.run({argv!r}).exit_code == 0")
     assert {"helsinki.loops", "helsinki.analysis"} <= loaded
     assert not loaded & {*ENGINE, "helsinki.prob", "helsinki.render", "fractions", "dataclasses"}
 

@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helsinki import solver
+from helsinki import solver, structure as structure_module
 from helsinki.analysis import check_all_inputs
 from helsinki.model import ALL_PERMUTATIONS, ANNIHILATION, FLAVORS, PRODUCTION, apply_permutation
 from helsinki.render import render
@@ -441,6 +441,9 @@ def test_counting_layout_is_compiled_once(monkeypatch):
     assert least_stranding_input(structure, {}, ["c_in", "l_in.1"]) is None
     assert memo(structure, solver._compile) is layout
     assert len(layouts) == 1
+    # all four searches keep the walk and the one layout, and nothing else
+    assert set(structure._derived) == {structure_module._walk, solver._compile}
+    assert {e for incident, _, _ in layout.steps for e in incident} <= set(structure.edges)
     # the same few moves tables serve cell after cell
     assert len({id(moves) for _, _, moves in layout.steps}) <= 6
 
