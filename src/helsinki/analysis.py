@@ -24,6 +24,9 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 from .model import (
     ALL_PERMUTATIONS,
     FLAVORS,
+    HIDDEN,
+    INTERVENTION,
+    OBSERVATION,
     Assignment,
     HiddenState,
     Permutation,
@@ -107,6 +110,14 @@ def apply_transform(t: InputTriple, transform: Transform) -> InputTriple:
 
 def reflect_triple(t: InputTriple) -> InputTriple:
     return InputTriple(t.right, t.center, t.left)
+
+
+#: the basic cell's edges in sorted order, each with its role: what
+#: `build_h_cell().roles` holds, for the readers of `cell_solutions`
+CELL_ROLES = MappingProxyType({
+    "c_in": INTERVENTION, "h_left": HIDDEN, "h_right": HIDDEN, "l_in": INTERVENTION,
+    "l_out": OBSERVATION, "r_in": INTERVENTION, "r_out": OBSERVATION,
+})
 
 
 @functools.cache

@@ -207,11 +207,8 @@ def _cmd_loop_exclusions(args) -> tuple[dict, int]:
 
 def _cmd_prob(args) -> tuple[dict, int]:
     from . import prob
-    from .structure import build_h_cell
-    cell = build_h_cell()
     triple = _triple_from_args(args)
-    inputs = {"l_in": triple.left, "c_in": triple.center, "r_in": triple.right}
-    dist = prob.completion_distribution(cell, inputs)
+    dist = prob.cell_distribution({"l_in": triple.left, "c_in": triple.center, "r_in": triple.right})
     if args.marginal:
         dist_edge = prob.marginal(dist, args.marginal)
         distribution = {f: str(dist_edge[f]) for f in FLAVORS}
@@ -221,13 +218,11 @@ def _cmd_prob(args) -> tuple[dict, int]:
 
 
 def _cmd_signal(args) -> tuple[dict, int]:
-    from . import prob
-    from .structure import build_h_cell
-    cell = build_h_cell()
     context = {"l_in": args.left, "c_in": args.center}
     if args.remote in context:
         raise ValueError(f"remote edge {args.remote!r} collides with the context flags")
-    score = prob.signalling_score(cell, args.target, args.remote, context)
+    from . import prob
+    score = prob.cell_signalling_score(args.target, args.remote, context)
     body = {
         "target": args.target,
         "remote": args.remote,

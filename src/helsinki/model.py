@@ -7,14 +7,16 @@ split one edge into two, annihilation nodes merge two edges into one.
 
 Everything in this module is a pure function over immutable values; the
 fixed flavor order A < B < C is used for all deterministic output ordering.
-The two domain errors live here too, so that the CLI can map them to its
-exit codes without loading the layers that raise them.
+The two domain errors, the edge roles and the check of a partial
+assignment live here too, so that the CLI can map the errors to its exit
+codes, and the readers of the cell table can name roles and check pins,
+without loading `structure` or `solver`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from typing import Container, Iterable
 
 Flavor = str
 HiddenState = tuple[str, str]
@@ -25,6 +27,12 @@ Assignment = dict[str, str]
 FLAVORS: tuple[str, ...] = ("A", "B", "C")
 #: the diagram formats of `render.render`
 FORMATS = ("graph", "ascii")
+
+#: an edge's role in a scenario: entering from the past (freely choosable),
+#: leaving to the future (read-only), or internal
+INTERVENTION = "intervention"
+OBSERVATION = "observation"
+HIDDEN = "hidden"
 
 PRODUCTION = "production"
 ANNIHILATION = "annihilation"
@@ -48,6 +56,27 @@ def check_flavor(value: str) -> str:
     if value not in FLAVORS:
         raise ValueError(f"unknown flavor {value!r}; expected one of {', '.join(FLAVORS)}")
     return value
+
+
+def check_partial(edges: Container[str], partial: dict[str, str]) -> None:
+    """Raise ValueError for a partial assignment naming an edge not in
+    `edges` or holding a non-flavor; the solver, `render` and the cell
+    table's callers share it."""
+    unknown = [eid for eid in partial if eid not in edges]
+    if unknown:
+        names = (eid if isinstance(eid, str) else repr(eid) for eid in _in_order(unknown))
+        raise ValueError(f"assignment mentions unknown edges: {', '.join(names)}")
+    bad = [v for v in partial.values() if v not in FLAVORS]
+    if bad:
+        raise ValueError(f"assignment contains non-flavor values: {', '.join(map(repr, _in_order(bad)))}")
+
+
+def _in_order(items: list) -> list:
+    """`items` sorted; by how they print when their types do not compare."""
+    try:
+        return sorted(items)
+    except TypeError:
+        return sorted(items, key=repr)
 
 
 def node_admissible(flavors: Iterable[Flavor]) -> bool:

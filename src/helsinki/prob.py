@@ -7,19 +7,41 @@ epistemic weights) is relative to that choice. All arithmetic is exact
 rational; distributions serialize as strings like "1/3", never floats.
 Marginals are summed exactly, as integers over one common denominator,
 so weights must be `int` or `Fraction`; any other weight is a TypeError.
+
+The basic cell is read from the cell table (`analysis.cell_solutions`):
+`cell_distribution` and `cell_signalling_score` give what the scenario
+functions give on `build_h_cell()`, and, like `epistemic_state`, load no
+search engine. Any other scenario is solved by `solver.complete`, which is
+loaded when the first one is.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
 import itertools
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional
 
-from .analysis import InputTriple, hidden_state_set
-from .model import FLAVORS, Assignment, EmptySupportError, HiddenState, production_completions
-from .solver import complete
-from .structure import INTERVENTION, OBSERVATION, Scenario, intervention_edges
+from .analysis import CELL_ROLES, InputTriple, cell_solutions, hidden_state_set
+from .model import (
+    FLAVORS,
+    INTERVENTION,
+    OBSERVATION,
+    Assignment,
+    EmptySupportError,
+    HiddenState,
+    check_partial,
+    production_completions,
+)
+
+if TYPE_CHECKING:
+    from .structure import Scenario
+
+#: `helsinki.solver`, bound when the first scenario is solved, so that the
+#: cell route never loads it and no call pays for an import statement
+_solver = None
 
 
 class CompletionDistribution(NamedTuple):
@@ -34,14 +56,33 @@ def completion_distribution(scenario: Scenario, inputs: Assignment) -> Completio
     `inputs` must cover every intervention edge; it may additionally pin
     hidden or output edges, which conditions the distribution on them.
     """
-    missing = [e for e, role in scenario.roles.items() if role == INTERVENTION and e not in inputs]
+    global _solver
+    _check_covered(scenario.roles, inputs)
+    if _solver is None:
+        _solver = importlib.import_module(".solver", __package__)
+    return _uniform(_solver.complete(scenario.structure, inputs).solutions, inputs)
+
+
+def cell_distribution(inputs: Assignment) -> CompletionDistribution:
+    """`completion_distribution(build_h_cell(), inputs)`, read from the cell
+    table: the same support, key order, weights and errors."""
+    _check_covered(CELL_ROLES, inputs)
+    check_partial(CELL_ROLES, inputs)
+    table = cell_solutions(InputTriple(inputs["l_in"], inputs["c_in"], inputs["r_in"]))
+    return _uniform([dict(a) for a in table if all(a[e] == v for e, v in inputs.items())], inputs)
+
+
+def _check_covered(roles: Mapping[str, str], inputs: Assignment) -> None:
+    missing = [e for e, role in roles.items() if role == INTERVENTION and e not in inputs]
     if missing:
         raise ValueError(f"inputs must cover every intervention edge; missing: {', '.join(sorted(missing))}")
-    result = complete(scenario.structure, inputs)
-    if not result.solutions:
+
+
+def _uniform(solutions: list[Assignment], inputs: Assignment) -> CompletionDistribution:
+    if not solutions:
         raise EmptySupportError(f"no admissible completion for inputs {dict(sorted(inputs.items()))}")
-    weight = Fraction(1, len(result.solutions))
-    return CompletionDistribution([(a, weight) for a in result.solutions])
+    weight = Fraction(1, len(solutions))
+    return CompletionDistribution([(a, weight) for a in solutions])
 
 
 def marginal(dist: CompletionDistribution, edge: str) -> dict[str, Fraction]:
@@ -82,18 +123,34 @@ def signalling_score(
     `context`. Zero exactly when the target's statistics ignore the remote
     setting.
     """
-    if scenario.roles.get(remote) != INTERVENTION:
+    distribution = functools.partial(completion_distribution, scenario)
+    return _signalling(scenario.roles, distribution, target, remote, context)
+
+
+def cell_signalling_score(target: str, remote: str, context: Assignment) -> Fraction:
+    """`signalling_score(build_h_cell(), ...)`, read from the cell table."""
+    return _signalling(CELL_ROLES, cell_distribution, target, remote, context)
+
+
+def _signalling(
+    roles: Mapping[str, str],
+    distribution: Callable[[Assignment], CompletionDistribution],
+    target: str,
+    remote: str,
+    context: Assignment,
+) -> Fraction:
+    if roles.get(remote) != INTERVENTION:
         raise ValueError(f"remote edge {remote!r} is not an intervention edge")
-    if scenario.roles.get(target) != OBSERVATION:
+    if roles.get(target) != OBSERVATION:
         raise ValueError(f"target edge {target!r} is not an observation edge")
-    expected = [e for e in intervention_edges(scenario) if e != remote]
+    expected = sorted(e for e, role in roles.items() if role == INTERVENTION and e != remote)
     if sorted(context) != expected:
         raise ValueError(f"context must assign exactly {', '.join(expected)}")
 
     marginals = {}
     for value in FLAVORS:
         try:
-            dist = completion_distribution(scenario, {**context, remote: value})
+            dist = distribution({**context, remote: value})
         except EmptySupportError as exc:
             raise EmptySupportError(f"remote value {value}: {exc}") from exc
         marginals[value] = marginal(dist, target)

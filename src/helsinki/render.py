@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .model import FORMATS, Assignment
+from .model import FORMATS, Assignment, check_partial
 from .structure import (
     HIDDEN,
     Endpoint,
@@ -19,7 +19,6 @@ from .structure import (
     PRODUCTION,
     PORTS,
     Scenario,
-    check_partial,
     node_order,
 )
 

@@ -51,8 +51,8 @@ import itertools
 from operator import itemgetter
 from typing import Callable, Collection, NamedTuple, Optional, Sequence
 
-from .model import FLAVORS, Assignment, node_admissible
-from .structure import Structure, check_partial, memo, node_order
+from .model import FLAVORS, Assignment, check_partial, node_admissible
+from .structure import Structure, memo, node_order
 
 
 class SolveResult(NamedTuple):

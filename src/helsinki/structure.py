@@ -19,16 +19,22 @@ from __future__ import annotations
 import heapq
 import json
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Container, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
-from .model import ANNIHILATION, FLAVORS, NODE_KINDS, PRODUCTION, InvalidStructureError
+from .model import (
+    ANNIHILATION,
+    FLAVORS,
+    HIDDEN,
+    INTERVENTION,
+    NODE_KINDS,
+    OBSERVATION,
+    PRODUCTION,
+    InvalidStructureError,
+)
 
 PAST = "past"
 FUTURE = "future"
 
-INTERVENTION = "intervention"
-OBSERVATION = "observation"
-HIDDEN = "hidden"
 ROLES = (INTERVENTION, OBSERVATION, HIDDEN)
 
 #: valid ports per node kind; productions have one input and two outputs,
@@ -149,26 +155,6 @@ def memo(structure: Structure, build: Callable):
     if entry is None:
         entry = derived[build] = build(structure)
     return entry
-
-
-def check_partial(edges: Container[str], partial: dict[str, str]) -> None:
-    """Raise ValueError for a partial assignment naming an edge not in
-    `edges` or holding a non-flavor; the solver and `render` share it."""
-    unknown = [eid for eid in partial if eid not in edges]
-    if unknown:
-        names = (eid if isinstance(eid, str) else repr(eid) for eid in _in_order(unknown))
-        raise ValueError(f"assignment mentions unknown edges: {', '.join(names)}")
-    bad = [v for v in partial.values() if v not in FLAVORS]
-    if bad:
-        raise ValueError(f"assignment contains non-flavor values: {', '.join(map(repr, _in_order(bad)))}")
-
-
-def _in_order(items: list) -> list:
-    """`items` sorted; by how they print when their types do not compare."""
-    try:
-        return sorted(items)
-    except TypeError:
-        return sorted(items, key=repr)
 
 
 class NodeOrder(NamedTuple):

@@ -210,6 +210,8 @@ def test_the_cell_is_solved_once_per_input_triple():
             prob.epistemic_state(center, known)
     for t in ALL_INPUT_TRIPLES:
         hidden_state_set(t)
+        prob.cell_distribution({"l_in": t.left, "c_in": t.center, "r_in": t.right})
+        prob.cell_signalling_score("l_out", "r_in", {"l_in": t.left, "c_in": t.center})
     assert analysis.cell_solutions.cache_info().misses == 27  # 715 when each call site solved the cell itself
 
 
@@ -220,6 +222,12 @@ def test_the_cell_table_is_what_the_engine_finds(t):
     for solutions in (solver.complete(cell, inputs).solutions, solver.brute_force_complete(cell, inputs)):
         assert table == solutions
         assert [list(a) for a in table] == [list(a) for a in solutions]
+
+
+def test_the_cell_roles_are_the_built_cells():
+    roles = build_h_cell().roles
+    assert analysis.CELL_ROLES == roles
+    assert list(analysis.CELL_ROLES) == sorted(roles)
 
 
 NON_FLAVOR_CALLS = {
@@ -248,6 +256,7 @@ def test_callers_cannot_change_the_cell_table():
     assert [s.hidden for s in loops.solve_loop("A", "A", channel)] == [BC, CB]
     loops.loop_exclusions("B", "A", loops.parse_channel("AAA")).clear()
     assert loops.loop_exclusions("B", "A", loops.parse_channel("AAA")) == {AA}
+    prob.cell_distribution({"l_in": "B", "c_in": "A", "r_in": "B"}).support[0][0]["h_left"] = "B"
     with pytest.raises(TypeError):
         analysis.cell_solutions(t)[0]["h_left"] = "B"
     fresh = solver.complete(build_h_cell().structure, {"l_in": "B", "c_in": "A", "r_in": "B"})

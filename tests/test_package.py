@@ -90,6 +90,37 @@ def test_loop_loads_only_the_cell_table_layers(argv):
     assert not loaded & {*ENGINE, "helsinki.prob", "helsinki.render", "fractions", "dataclasses"}
 
 
+@pytest.mark.parametrize(
+    "argv", [["prob", "--left", "B", "--center", "A", "--right", "B"],
+             ["prob", "--left", "B", "--center", "A", "--right", "A", "--marginal", "l_out"],
+             ["signal", "--target", "l_out", "--remote", "r_in", "--left", "B", "--center", "A"],
+             ["epistemic", "--center", "A", "--l-in", "B"]],
+    ids=["prob", "prob-marginal", "signal", "epistemic"],
+)
+def test_prob_commands_load_only_the_cell_table_layers(argv):
+    loaded = loaded_after(f"from helsinki import cli\nassert cli.run({argv!r}).exit_code == 0")
+    assert {"helsinki.prob", "helsinki.analysis", "fractions"} <= loaded
+    assert not loaded & {*ENGINE, "helsinki.loops", "helsinki.render", "dataclasses"}
+
+
+def test_a_scenario_distribution_after_a_cell_one_loads_the_solver_then():
+    # the solver is bound on the first scenario solved, also after the cell route ran first
+    loaded_after(
+        "from fractions import Fraction\n"
+        "from helsinki import cli, prob\n"
+        "assert cli.run(['prob', '--left', 'B', '--center', 'A', '--right', 'B']).exit_code == 0\n"
+        "assert 'helsinki.solver' not in sys.modules\n"
+        "from helsinki.solver import brute_force_complete\n"
+        "from helsinki.structure import build_chain\n"
+        "chain = build_chain(2)\n"
+        "pins = {'c_in': 'A', 'l_in.1': 'B', 'r_in.1': 'B', 'l_in.2': 'C', 'r_in.2': 'A'}\n"
+        "want = brute_force_complete(chain.structure, pins)\n"
+        "dist = prob.completion_distribution(chain, pins)\n"
+        "assert [a for a, _ in dist.support] == want and len(want) > 1\n"
+        "assert {w for _, w in dist.support} == {Fraction(1, len(want))}\n"
+    )
+
+
 def test_solve_loads_no_analysis(tmp_path):
     path = tmp_path / "cell.json"
     path.write_text(serialize_scenario(build_h_cell()))
@@ -106,6 +137,15 @@ def test_a_usage_error_loads_no_engine():
         "assert cli.run(['hidden', '--left', 'D', '--center', 'A', '--right', 'A']).exit_code == 2"
     )
     assert not loaded & {"helsinki.structure", "helsinki.solver", "helsinki.analysis"}
+
+
+def test_a_colliding_signal_is_a_usage_error_that_loads_no_prob():
+    loaded = loaded_after(
+        "from helsinki import cli\n"
+        "argv = ['signal', '--target', 'l_out', '--remote', 'l_in', '--left', 'B', '--center', 'A']\n"
+        "assert cli.run(argv).exit_code == 2"
+    )
+    assert not loaded & {*ENGINE, "helsinki.prob", "helsinki.analysis"}
 
 
 def test_every_module_loads_without_dataclasses_and_prob_brings_fractions():

@@ -8,6 +8,8 @@ from helsinki.model import ALL_PERMUTATIONS, FLAVORS, apply_permutation
 from helsinki.prob import (
     CompletionDistribution,
     EmptySupportError,
+    cell_distribution,
+    cell_signalling_score,
     completion_distribution,
     epistemic_state,
     marginal,
@@ -222,3 +224,80 @@ def test_support_matches_solver_solutions():
     result = complete(CELL.structure, inputs("B", "A", "C"))
     dist = completion_distribution(CELL, inputs("B", "A", "C"))
     assert [a for a, _ in dist.support] == result.solutions
+
+
+# --- the cell route: the cell table in place of the engine ---
+
+
+def outcome(call, *args):
+    """What a call gives: its value, or the type and message of what it raised."""
+    try:
+        return call(*args)
+    except Exception as exc:  # any type: the two routes must raise the same
+        return type(exc), str(exc)
+
+
+def cell_cases():
+    """Every input triple, bare and with each single extra pin."""
+    for t in itertools.product(FLAVORS, repeat=3):
+        yield inputs(*t)
+        for edge in sorted(CELL.roles):
+            for f in FLAVORS:
+                yield {**inputs(*t), edge: f}
+
+
+def test_the_cell_route_gives_the_scenario_routes_distribution():
+    cases = list(cell_cases())
+    assert len(cases) == 27 * (1 + 7 * 3)
+    empty = 0
+    for pins in cases:
+        got, want = outcome(cell_distribution, pins), outcome(completion_distribution, CELL, pins)
+        assert got == want, pins
+        if not isinstance(want, CompletionDistribution):
+            assert want[0] is EmptySupportError
+            empty += 1
+            continue
+        assert [list(a) for a, _ in got.support] == [list(a) for a, _ in want.support]
+        assert all(type(a) is dict for a, _ in got.support)
+    assert 0 < empty < len(cases)
+
+
+@pytest.mark.parametrize("pins", [
+    {"l_in": "D", "c_in": "A", "r_in": "B"},
+    {"l_in": "B", "c_in": "A", "r_in": "B", "h_left": "Z"},
+    {"l_in": "B", "c_in": "A", "r_in": "B", "ghost": "A"},
+    {"l_in": "B", "c_in": "A", "r_in": "B", "ghost": "A", 3: "D"},
+    {"l_in": "B", "c_in": "A"},
+    {"l_in": "B", "ghost": "D"},
+    {},
+], ids=["non-flavor-input", "non-flavor-pin", "unknown-edge", "unknown-and-non-flavor", "missing-input",
+        "missing-and-unknown", "nothing"])
+def test_the_cell_route_raises_what_the_scenario_route_raises(pins):
+    got, want = outcome(cell_distribution, pins), outcome(completion_distribution, CELL, pins)
+    assert want[0] is ValueError
+    assert got == want
+
+
+def test_the_cell_route_gives_the_scenario_routes_signalling_score():
+    cases = 0
+    for target in ("l_out", "r_out"):
+        for remote in intervention_edges(CELL):
+            others = [e for e in intervention_edges(CELL) if e != remote]
+            for values in itertools.product(FLAVORS, repeat=2):
+                context = dict(zip(others, values))
+                assert cell_signalling_score(target, remote, context) == signalling_score(
+                    CELL, target, remote, context
+                ), (target, remote, context)
+                cases += 1
+    assert cases == 2 * 3 * 9
+
+
+@pytest.mark.parametrize("target, remote, context", [
+    ("l_out", "h_left", {"l_in": "B", "c_in": "A", "r_in": "B"}),
+    ("h_left", "r_in", {"l_in": "B", "c_in": "A"}),
+    ("l_out", "r_in", {"l_in": "B"}),
+], ids=["remote-not-intervention", "target-not-observation", "context"])
+def test_the_cell_route_raises_the_scenario_routes_role_errors(target, remote, context):
+    want = outcome(signalling_score, CELL, target, remote, context)
+    assert want[0] is ValueError
+    assert outcome(cell_signalling_score, target, remote, context) == want
