@@ -11,11 +11,12 @@ from typing import Optional
 
 from .model import FORMATS, Assignment, check_partial
 from .structure import (
+    FUTURE,
     HIDDEN,
-    Endpoint,
     INTERVENTION,
     InvalidStructureError,
     NodeOrder,
+    PAST,
     PRODUCTION,
     PORTS,
     Scenario,
@@ -41,22 +42,22 @@ def _edge_label(eid: str, assignment: Assignment) -> str:
     return f"{eid}={assignment[eid]}" if eid in assignment else eid
 
 
-def _edge_tag(scenario: Scenario, eid: str, assignment: Assignment) -> str:
-    label = _edge_label(eid, assignment)
-    role = scenario.roles.get(eid)
-    if role == INTERVENTION:
-        return f"({label})"
-    if role == HIDDEN:
-        return f"~{label}~"
-    return f"[{label}]"
+_BRACKETS = {INTERVENTION: "()", HIDDEN: "~~"}  # and "[]" for observations
 
 
 def _render_ascii(scenario: Scenario, walk: NodeOrder, assignment: Assignment) -> str:
     struct = scenario.structure
     lines = [f"scenario: {len(struct.nodes)} nodes, {len(struct.edges)} edges"]
 
-    future = [e for e in walk.edges if struct.edges[e].target.is_terminal]
-    past = [e for e in walk.edges if struct.edges[e].source.is_terminal]
+    tags, future, past = {}, [], []
+    for eid in walk.edges:
+        left, right = _BRACKETS.get(scenario.roles.get(eid), "[]")
+        tag = tags[eid] = f"{left}{_edge_label(eid, assignment)}{right}"
+        (_, _, source, _), (_, _, target, _) = struct.edges[eid]  # the terminal of each end
+        if target is not None:
+            future.append(tag)
+        if source is not None:
+            past.append(tag)
 
     # nodes grouped by longest-path depth from the past side; depths run
     # 1..max with no gaps, so a depth is also its tier number
@@ -64,21 +65,22 @@ def _render_ascii(scenario: Scenario, walk: NodeOrder, assignment: Assignment) -
     for nid, depth in sorted(walk.depth.items()):
         tiers.setdefault(depth, []).append(nid)
 
-    lines.append("future : " + "  ".join(_edge_tag(scenario, e, assignment) for e in future))
+    lines.append("future : " + "  ".join(future))
     for number in sorted(tiers, reverse=True):
         for nid in tiers[number]:
             ports = walk.ports[nid]
             kind = struct.nodes[nid]
             cells = [f"tier {number} : {nid} <{kind}>"]
             for port in PORTS[kind]:
-                cells.append(f"{port} {_edge_tag(scenario, ports[port], assignment)}")
+                cells.append(f"{port} {tags[ports[port]]}")
             lines.append("  ".join(cells))
-    lines.append("past   : " + "  ".join(_edge_tag(scenario, e, assignment) for e in past))
+    lines.append("past   : " + "  ".join(past))
     return "\n".join(lines) + "\n"
 
 
-def _dot_id(ep: Endpoint) -> str:
-    return ep.node if ep.terminal is None else f"term:{ep.side}:{ep.terminal}"
+def _dot(text: str) -> str:
+    """`text` escaped for the inside of a DOT quoted string; a text without `\\` or `"` is returned as it is."""
+    return text.replace("\\", "\\\\").replace('"', '\\"') if '"' in text or "\\" in text else text
 
 
 def _render_dot(scenario: Scenario, walk: NodeOrder, assignment: Assignment) -> str:
@@ -88,20 +90,24 @@ def _render_dot(scenario: Scenario, walk: NodeOrder, assignment: Assignment) -> 
         "  rankdir=BT;",
         '  node [fontname="monospace"];',
     ]
+    ids = {}  # node id -> its text in DOT quotes
     for nid in sorted(struct.nodes):
         shape = "triangle" if struct.nodes[nid] == PRODUCTION else "invtriangle"
-        lines.append(f'  "{nid}" [shape={shape}, label="{nid}\\n{struct.nodes[nid]}"];')
-    terminals = set()
-    for edge in struct.edges.values():
-        for ep, is_source in ((edge.source, True), (edge.target, False)):
-            if ep.terminal is not None:
-                terminals.add((ep.side, ep.terminal, is_source))
-    for side, name, is_source in sorted(terminals):
-        shape = "circle" if is_source else "square"
-        lines.append(f'  "term:{side}:{name}" [shape={shape}, label="{name}"];')
+        name = ids[nid] = _dot(nid)
+        lines.append(f'  "{name}" [shape={shape}, label="{name}\\n{struct.nodes[nid]}"];')
+    # terminal name -> its DOT id; a valid structure's source terminals are past, its target terminals future
+    past = {terminal: "" for (_, _, terminal, _), _ in struct.edges.values() if terminal is not None}
+    future = {terminal: "" for _, (_, _, terminal, _) in struct.edges.values() if terminal is not None}
+    for side, terminals, shape in ((FUTURE, future, "square"), (PAST, past, "circle")):
+        for terminal in sorted(terminals):
+            name = _dot(terminal)
+            terminals[terminal] = f"term:{side}:{name}"
+            lines.append(f'  "{terminals[terminal]}" [shape={shape}, label="{name}"];')
     for eid in walk.edges:
-        src, dst = _dot_id(struct.edges[eid].source), _dot_id(struct.edges[eid].target)
+        (src_node, _, src_terminal, _), (dst_node, _, dst_terminal, _) = struct.edges[eid]
+        src = ids[src_node] if src_terminal is None else past[src_terminal]
+        dst = ids[dst_node] if dst_terminal is None else future[dst_terminal]
         style = ", style=dashed" if scenario.roles.get(eid) == HIDDEN else ""
-        lines.append(f'  "{src}" -> "{dst}" [label="{_edge_label(eid, assignment)}"{style}];')
+        lines.append(f'  "{src}" -> "{dst}" [label="{_dot(_edge_label(eid, assignment))}"{style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -11,7 +11,9 @@ no function here mutates its inputs. Each structure object's graph is
 walked and checked once (`node_order`), and what is derived from it is
 kept on the object itself (`memo`), so a structure must not be mutated
 after its first validate, render or search: build a new one instead. A
-copy or a pickle round trip starts with nothing derived.
+copy or a pickle round trip starts with nothing derived. A file's endpoint
+is read (`Endpoint.from_json`) straight into a tuple when it has one of the
+two well-formed shapes; its location and error are composed only when not.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ _PORT_NAMES = IN_PORTS + OUT_PORTS
 _ENDS = (("source", PAST, OUT_PORTS, "an out-port"), ("target", FUTURE, IN_PORTS, "an in-port"))
 _MIRROR_SIDE = {PAST: FUTURE, FUTURE: PAST}
 _FLIP_KIND = {PRODUCTION: ANNIHILATION, ANNIHILATION: PRODUCTION}
+_EDGE_FIELDS = {"from", "to"}
+_new = tuple.__new__  # builds a NamedTuple from a tuple of every field, without its Python-level __new__
 
 
 class ParseError(ValueError):
@@ -90,13 +94,19 @@ class Endpoint(NamedTuple):
         return self.terminal is not None
 
     @staticmethod
-    def from_json(obj: object, where: str) -> "Endpoint":
+    def from_json(obj: object, eid: str, end: str) -> "Endpoint":
+        """Read the `end` ("from" or "to") of edge `eid` from its JSON form."""
         if isinstance(obj, dict) and len(obj) == 2:  # the well-formed shapes; anything else only picks its error
-            node, port, side = obj.get("node"), obj.get("port"), obj.get("side")
-            if isinstance(node, str) and port in _PORT_NAMES:
-                return Endpoint(node, port)
-            if side in (PAST, FUTURE) and isinstance(obj.get("terminal"), str):
-                return Endpoint(None, None, obj["terminal"], side)
+            port = obj.get("port")
+            if port in _PORT_NAMES:
+                node = obj.get("node")
+                if isinstance(node, str):
+                    return _new(Endpoint, (node, port, None, None))
+            else:
+                side, terminal = obj.get("side"), obj.get("terminal")
+                if side in (PAST, FUTURE) and isinstance(terminal, str):
+                    return _new(Endpoint, (None, None, terminal, side))
+        where = f"edges[{eid!r}].{end}"
         if not isinstance(obj, dict):
             raise ParseError(f"{where}: endpoint must be an object, got {type(obj).__name__}")
         keys = set(obj)
@@ -194,26 +204,25 @@ def _walk(structure: Structure) -> NodeOrder:
     loose: list[str] = []
     edges = sorted(structure.edges)
     for eid in edges:
-        edge = structure.edges[eid]
         linked, turned = [], []  # direction faults are reported after both ends' port faults
-        for ep, (end, side, allowed, name) in zip((edge.source, edge.target), _ENDS):
-            if ep.terminal is not None:
-                if ep.side != side:
-                    turned.append(Violation("bad-direction", eid, f"{end} terminal must be on the {side} side"))
+        for (node, port, terminal, side), (end, end_side, allowed, name) in zip(structure.edges[eid], _ENDS):
+            if terminal is not None:
+                if side != end_side:
+                    turned.append(Violation("bad-direction", eid, f"{end} terminal must be on the {end_side} side"))
                 continue
-            if ep.port not in allowed:
-                turned.append(Violation("bad-direction", eid, f"{end} must be {name}, got {ep.port!r}"))
-            table = ports.get(ep.node)
+            if port not in allowed:
+                turned.append(Violation("bad-direction", eid, f"{end} must be {name}, got {port!r}"))
+            table = ports.get(node)
             if table is None:
-                edge_v.append(Violation("unknown-node", eid, f"{end} references missing node {ep.node!r}"))
+                edge_v.append(Violation("unknown-node", eid, f"{end} references missing node {node!r}"))
                 continue
-            if ep.port in table:
-                clash.setdefault((ep.node, ep.port), [table[ep.port]]).append(eid)
-            table[ep.port] = eid
-            linked.append(ep.node)
-            kind = nodes[ep.node]
-            if kind in PORTS and ep.port not in PORTS[kind]:
-                message = f"{end} port {ep.port!r} does not exist on {kind} node {ep.node!r}"
+            if port in table:
+                clash.setdefault((node, port), [table[port]]).append(eid)
+            table[port] = eid
+            linked.append(node)
+            kind = nodes[node]
+            if kind in PORTS and port not in PORTS[kind]:
+                message = f"{end} port {port!r} does not exist on {kind} node {node!r}"
                 edge_v.append(Violation("bad-port", eid, message))
         edge_v += turned
         if len(linked) == 2:
@@ -287,13 +296,8 @@ def derive_roles(structure: Structure) -> dict[str, str]:
     """
     roles = {}
     for eid in structure.edge_ids():
-        edge = structure.edges[eid]
-        if edge.source.is_terminal:
-            roles[eid] = INTERVENTION
-        elif edge.target.is_terminal:
-            roles[eid] = OBSERVATION
-        else:
-            roles[eid] = HIDDEN
+        (_, _, source, _), (_, _, target, _) = structure.edges[eid]  # the terminal of each end
+        roles[eid] = INTERVENTION if source is not None else OBSERVATION if target is not None else HIDDEN
     return roles
 
 
@@ -459,13 +463,11 @@ def parse_scenario_document(text: str) -> tuple[Scenario, Optional[dict[str, str
     if not isinstance(doc["edges"], dict):
         raise ParseError("'edges' must map edge ids to endpoint pairs")
     edges: dict[str, Edge] = {}
+    read = Endpoint.from_json
     for eid, body in doc["edges"].items():
-        if not isinstance(body, dict) or body.keys() != {"from", "to"}:
+        if not isinstance(body, dict) or body.keys() != _EDGE_FIELDS:
             raise ParseError(f"edges[{eid!r}]: needs exactly the fields 'from' and 'to'")
-        edges[eid] = Edge(
-            Endpoint.from_json(body["from"], f"edges[{eid!r}].from"),
-            Endpoint.from_json(body["to"], f"edges[{eid!r}].to"),
-        )
+        edges[eid] = _new(Edge, (read(body["from"], eid, "from"), read(body["to"], eid, "to")))
 
     structure = Structure(nodes, edges)
     violations = validate_topology(structure)

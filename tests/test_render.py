@@ -102,3 +102,30 @@ def test_render_of_an_invalid_structure_raises_on_every_call(fmt):
     for _ in range(2):
         with pytest.raises(InvalidStructureError, match="^port-unused \\[p\\]: port 'out1' has no edge; "):
             render(broken, None, fmt)
+
+
+def test_dot_escapes_quotes_and_backslashes_in_every_id():
+    # the cell with every node, edge and terminal id holding a quote and ending in a backslash
+    def odd(name):
+        return f'{name[:2]}"{name[2:]}\\'
+
+    def moved(ep):
+        return Endpoint(odd(ep.node) if ep.node else None, ep.port, ep.terminal and odd(ep.terminal), ep.side)
+
+    cell = build_h_cell().structure
+    structure = Structure(
+        {odd(nid): kind for nid, kind in cell.nodes.items()},
+        {odd(eid): Edge(moved(edge.source), moved(edge.target)) for eid, edge in cell.edges.items()},
+    )
+    dot_id = {ep: f"term:{ep.side}:{ep.terminal}" if ep.is_terminal else ep.node
+              for edge in structure.edges.values() for ep in edge}
+    assignment = {odd("c_in"): "A"}
+    expected = ["monospace"]
+    expected += [text for nid, kind in structure.nodes.items() for text in (nid, f"{nid}\\n{kind}")]
+    expected += [text for ep in dot_id if ep.is_terminal for text in (dot_id[ep], ep.terminal)]
+    expected += [text for eid, (source, target) in structure.edges.items()
+                 for text in (dot_id[source], dot_id[target], f"{eid}=A" if eid in assignment else eid)]
+    dot = render(Scenario.derive(structure), assignment, "graph")
+    quoted = re.findall(r'"((?:[^"\\]|\\.)*)"', dot)
+    assert sorted(re.sub(r'\\(["\\])', r"\1", text) for text in quoted) == sorted(expected)
+    assert re.sub(r'"(?:[^"\\]|\\.)*"', "", dot).count('"') == 0

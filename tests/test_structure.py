@@ -365,6 +365,23 @@ def test_endpoints_compare_by_value():
     assert len({Endpoint.at_port("p", "in1"), Endpoint(node="p", port="in1")}) == 1
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("mirrored", [False, True], ids=["forward", "reversed"])
+def test_parsed_edges_and_endpoints_are_the_named_tuples(k, mirrored):
+    scenario = reverse_time(build_chain(k)) if mirrored else build_chain(k)
+    assignment = {e: FLAVORS[i % 3] for i, e in enumerate(scenario.structure.edge_ids()) if i % 2}
+    parsed, pins = parse_scenario_document(serialize_scenario(scenario, assignment))
+    assert parsed.structure == scenario.structure
+    assert parsed.roles == scenario.roles and pins == assignment
+    for eid, edge in parsed.structure.edges.items():
+        assert type(edge) is Edge and (edge.source, edge.target) == scenario.structure.edges[eid]
+        for ep, built in zip(edge, scenario.structure.edges[eid]):
+            assert type(ep) is Endpoint
+            assert ep.is_terminal is built.is_terminal is (ep.terminal is not None)
+            assert ep._asdict() == built._asdict()
+            assert list(ep._asdict()) == ["node", "port", "terminal", "side"]
+
+
 # --- one walk per structure object ---
 
 
@@ -394,8 +411,8 @@ def test_validate_render_path_and_search_share_one_walk(monkeypatch):
 # --- every message, word for word ---
 
 
-def edited(change):
-    doc = json.loads(serialize_scenario(build_h_cell(), {"c_in": "A"}))
+def edited(change, cells=1):
+    doc = json.loads(serialize_scenario(build_chain(cells), {"c_in": "A"}))
     change(doc)
     return json.dumps(doc)
 
@@ -442,6 +459,16 @@ PARSE_ERRORS = [
      "edges['c_in'].from.terminal: must be a string, got list"),
     (edited(put(["edges", "c_in", "from", "side"], "sideways")),
      "edges['c_in'].from: side must be 'past' or 'future', got 'sideways'"),
+    (edited(put(["edges", "c_in", "to"], {"node": "prod", "side": "future"})),
+     "edges['c_in'].to: endpoint needs keys node/port or terminal/side, got ['node', 'side']"),
+    (edited(put(["edges", "c_in", "from"], {"port": "out1", "terminal": "c_in"})),
+     "edges['c_in'].from: endpoint needs keys node/port or terminal/side, got ['port', 'terminal']"),
+    (edited(put(["edges", "c_in", "from", "side"], 1)), "edges['c_in'].from.side: must be a string, got int"),
+    (edited(put(["edges", "c_in"], "c_in")), "edges['c_in']: needs exactly the fields 'from' and 'to'"),
+    (edited(put(["edges", "h_left", "to", "port"], "out9")), "edges['h_left'].to: unknown port 'out9'"),
+    # r_out.3 is the last edge of the chain:3 document
+    (edited(put(["edges", "r_out.3", "to", "side"], "later"), cells=3),
+     "edges['r_out.3'].to: side must be 'past' or 'future', got 'later'"),
     (edited(put(["roles"], [])), "'roles' must map edge ids to roles"),
     (edited(put(["roles", "c_in"], "boss")), "roles['c_in']: unknown role 'boss'"),
     (edited(put(["roles", "ghost"], "hidden")), "roles['ghost']: no such edge"),
