@@ -8,16 +8,17 @@ internal error (one `error: internal:` line, no traceback), 2 usage or
 parse error. Everything is deterministic; there is no seed flag.
 
 A call loads only what its command uses: each handler imports its own
-analysis modules when it runs, and parsing the arguments loads none.
+analysis modules when it runs. A plain command line is read straight from
+the flag table `_COMMANDS`; argparse loads only for help, usage errors and
+other spellings, and `json` only to write JSON.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 from contextlib import contextmanager
+from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 from .model import FLAVORS, FORMATS, EmptySupportError, InvalidStructureError, check_flavor
@@ -30,19 +31,21 @@ class CommandResult(NamedTuple):
     payload: Optional[dict]
 
 
-def _flavor(text: str) -> str:
-    try:
-        return check_flavor(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+# --- flag converters: each returns the value or raises ValueError ---
+
+
+def _integer(text: str) -> int:
+    """An optional minus sign and ASCII digits only: int() would also take "2_0", " 2", "+2" and non-ASCII
+    digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _channel(text: str) -> str:
     from .loops import parse_channel
-    try:
-        parse_channel(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    parse_channel(text)
     return text
 
 
@@ -85,19 +88,18 @@ def _builder(name: str):
     if name == "h-cell":
         return build_h_cell()
     if name.startswith("chain:"):
-        k = name[len("chain:"):]
-        digits = k[1:] if k.startswith("-") else k
-        # ASCII digits only: int() would also take "2_0", " 2", "+2" and non-ASCII digits
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError(f"--builder chain:K needs an integer, got {name!r}")
-        return build_chain(int(k))
+        try:
+            k = _integer(name[len("chain:"):])
+        except ValueError:
+            raise ValueError(f"--builder chain:K needs an integer, got {name!r}") from None
+        return build_chain(k)
     raise ValueError(f"unknown builder {name!r}; expected h-cell or chain:K")
 
 
 # --- handlers: each returns (payload body, exit code) ---
 
 
-def _cmd_table(args) -> tuple[dict, int]:
+def _cmd_table(args):
     from . import analysis
     table = analysis.state_table()
     rows = [
@@ -112,19 +114,19 @@ def _triple_from_args(args):
     return InputTriple(args.left, args.center, args.right)
 
 
-def _cmd_hidden(args) -> tuple[dict, int]:
+def _cmd_hidden(args):
     from . import analysis
     triple = _triple_from_args(args)
     states = sorted(analysis.hidden_state_set(triple))
     return {"inputs": triple.label(), "hidden_states": ["".join(h) for h in states]}, 0
 
 
-def _cmd_classes(args) -> tuple[dict, int]:
+def _cmd_classes(args):
     from . import analysis
     return {"classes": [t.label() for t in analysis.input_classes()]}, 0
 
 
-def _cmd_canon(args) -> tuple[dict, int]:
+def _cmd_canon(args):
     from . import analysis
     triple = _triple_from_args(args)
     canonical, transform = analysis.canonicalize_inputs(triple)
@@ -137,25 +139,17 @@ def _cmd_canon(args) -> tuple[dict, int]:
     return body, 0
 
 
-def _cmd_retro(args) -> tuple[dict, int]:
+def _cmd_retro(args):
     from . import analysis
-    witnesses = analysis.retro_witnesses()
-    body = {
-        "witnesses": [
-            {
-                "base": w.base.label(),
-                "changed_input": w.changed_input,
-                "new_value": w.new_value,
-                "lost": ["".join(h) for h in sorted(w.lost_hidden)],
-                "gained": ["".join(h) for h in sorted(w.gained_hidden)],
-            }
-            for w in witnesses
-        ]
-    }
-    return body, 0
+    witnesses = [
+        {"base": w.base.label(), "changed_input": w.changed_input, "new_value": w.new_value,
+         "lost": ["".join(h) for h in sorted(w.lost_hidden)], "gained": ["".join(h) for h in sorted(w.gained_hidden)]}
+        for w in analysis.retro_witnesses()
+    ]
+    return {"witnesses": witnesses}, 0
 
 
-def _cmd_nonlocal(args) -> tuple[dict, int]:
+def _cmd_nonlocal(args):
     from . import analysis
     witnesses = [
         {**w._asdict(), "base": w.base.label(), "old_outputs": sorted(w.old_outputs),
@@ -165,7 +159,7 @@ def _cmd_nonlocal(args) -> tuple[dict, int]:
     return {"witnesses": witnesses}, 0
 
 
-def _cmd_consistency(args) -> tuple[dict, int]:
+def _cmd_consistency(args):
     from . import analysis
     if args.structure is not None:
         scenario, _ = _load_scenario(args.structure)
@@ -184,28 +178,28 @@ def _cmd_consistency(args) -> tuple[dict, int]:
     return {**report._asdict(), "counterexample": counterexample}, 0 if counterexample is None else 1
 
 
-def _cmd_loop(args) -> tuple[dict, int]:
+def _cmd_loop(args):
     from . import loops
     solutions = loops.solve_loop(args.left, args.center, loops.parse_channel(args.channel))
     solutions = [{**s._asdict(), "hidden": "".join(s.hidden)} for s in solutions]
     return {"left": args.left, "center": args.center, "channel": args.channel, "solutions": solutions}, 0
 
 
-def _cmd_loop_sweep(args) -> tuple[dict, int]:
+def _cmd_loop_sweep(args):
     from . import loops
     report = loops.loop_universality()
     failures = [{"channel": ch, "left": left, "center": center} for ch, left, center in report.failures]
     return {"total": report.total, "failures": failures}, 0 if not failures else 1
 
 
-def _cmd_loop_exclusions(args) -> tuple[dict, int]:
+def _cmd_loop_exclusions(args):
     from . import loops
     excluded = sorted(loops.loop_exclusions(args.left, args.center, loops.parse_channel(args.channel)))
     excluded = ["".join(h) for h in excluded]
     return {"left": args.left, "center": args.center, "channel": args.channel, "excluded": excluded}, 0
 
 
-def _cmd_prob(args) -> tuple[dict, int]:
+def _cmd_prob(args):
     from . import prob
     triple = _triple_from_args(args)
     dist = prob.cell_distribution({"l_in": triple.left, "c_in": triple.center, "r_in": triple.right})
@@ -217,7 +211,7 @@ def _cmd_prob(args) -> tuple[dict, int]:
     return {"inputs": triple.label(), "support": support}, 0
 
 
-def _cmd_signal(args) -> tuple[dict, int]:
+def _cmd_signal(args):
     context = {"l_in": args.left, "c_in": args.center}
     if args.remote in context:
         raise ValueError(f"remote edge {args.remote!r} collides with the context flags")
@@ -232,7 +226,7 @@ def _cmd_signal(args) -> tuple[dict, int]:
     return body, 0
 
 
-def _cmd_epistemic(args) -> tuple[dict, int]:
+def _cmd_epistemic(args):
     from . import prob
     known = {edge: value for edge, value in (("l_in", args.l_in), ("r_in", args.r_in)) if value}
     weights = prob.epistemic_state(args.center, known)
@@ -244,22 +238,18 @@ def _cmd_epistemic(args) -> tuple[dict, int]:
     return body, 0
 
 
-def _cmd_solve(args) -> tuple[dict, int]:
+def _cmd_solve(args):
     from .solver import complete, count_completions
     scenario, embedded = _load_scenario(args.structure)
     assigned = {**embedded, **_parse_assignments(args.assign)}
     body: dict = {"file": args.structure, "assigned": dict(sorted(assigned.items()))}
     if args.count_only:
-        body["count"] = count_completions(scenario.structure, assigned)
-        return body, 0
+        return {**body, "count": count_completions(scenario.structure, assigned)}, 0
     result = complete(scenario.structure, assigned)
-    body["count"] = len(result.solutions)
-    body["explored"] = result.explored
-    body["solutions"] = result.solutions
-    return body, 0
+    return {**body, "count": len(result.solutions), "explored": result.explored, "solutions": result.solutions}, 0
 
 
-def _cmd_render(args) -> tuple[dict, int]:
+def _cmd_render(args):
     from .render import render
     if args.structure is not None:
         scenario, embedded = _load_scenario(args.structure)
@@ -267,25 +257,6 @@ def _cmd_render(args) -> tuple[dict, int]:
         scenario, embedded = _builder(args.builder), {}
     assigned = {**embedded, **_parse_assignments(args.assign)}
     return {"format": args.format, "diagram": render(scenario, assigned, args.format)}, 0
-
-
-_HANDLERS = {
-    "table": _cmd_table,
-    "hidden": _cmd_hidden,
-    "classes": _cmd_classes,
-    "canon": _cmd_canon,
-    "retro": _cmd_retro,
-    "nonlocal": _cmd_nonlocal,
-    "consistency": _cmd_consistency,
-    "loop": _cmd_loop,
-    "loop-sweep": _cmd_loop_sweep,
-    "loop-exclusions": _cmd_loop_exclusions,
-    "prob": _cmd_prob,
-    "signal": _cmd_signal,
-    "epistemic": _cmd_epistemic,
-    "solve": _cmd_solve,
-    "render": _cmd_render,
-}
 
 
 # --- text views: each turns a payload body into the lines printed without --output json ---
@@ -364,103 +335,121 @@ _TEXT = {
 }
 
 
-def _add_triple_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--left", type=_flavor, required=True, help="left wing input")
-    parser.add_argument("--center", type=_flavor, required=True, help="center input")
-    parser.add_argument("--right", type=_flavor, required=True, help="right wing input")
+# --- arguments: one table, read by `_plain_args` on plain command lines and by argparse on the rest ---
+
+#: the `convert` of a repeatable flag and of a switch: argparse's names of their actions
+_APPEND, _SWITCH = "append", "store_true"
+_OUTPUTS = ("json", "text")
 
 
-def _add_loop_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--left", type=_flavor, required=True, help="left wing input")
-    parser.add_argument("--center", type=_flavor, required=True, help="center input")
-    parser.add_argument(
-        "--channel", type=_channel, required=True,
-        help="images of A, B, C in order, e.g. ACB maps B to C and C to B",
-    )
+def _flag(flag, convert, required, help, metavar=None, default=None) -> SimpleNamespace:
+    """One flag of a command: `convert` is a converter, a tuple of choices, `_APPEND` or `_SWITCH`; `required` is
+    True, False or the other flag of the command's one required exclusive pair; `dest` is named as argparse does."""
+    return SimpleNamespace(flag=flag, dest=flag[2:].replace("-", "_"), convert=convert, required=required, help=help,
+                           metavar=metavar, default=default)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="helsinki",
-        description="Admissible-assignment analyses of three-flavor production/annihilation structures.",
-    )
-    parser.add_argument("--output", choices=("json", "text"), default="text", help="output format")
-    sub = parser.add_subparsers(dest="command", required=True)
+_TRIPLE = (
+    _flag("--left", check_flavor, True, "left wing input"), _flag("--center", check_flavor, True, "center input"),
+    _flag("--right", check_flavor, True, "right wing input"))
+_LOOP = (*_TRIPLE[:2],
+         _flag("--channel", _channel, True, "images of A, B, C in order, e.g. ACB maps B to C and C to B"))
+_ASSIGN = _flag("--assign", _APPEND, False, "pin an edge; repeatable", "EDGE=FLAVOR")
 
-    sub.add_parser("table", help="allowed hidden states per canonical input class")
+#: command -> (handler, help, its flags in help order); a handler returns (payload body, exit code)
+_COMMANDS = {
+    "table": (_cmd_table, "allowed hidden states per canonical input class", ()),
+    "hidden": (_cmd_hidden, "hidden states admissible under given cell inputs", _TRIPLE),
+    "classes": (_cmd_classes, "the canonical input classes", ()),
+    "canon": (_cmd_canon, "canonical form of an input triple", _TRIPLE),
+    "retro": (_cmd_retro, "wing-input changes that alter the hidden-state set", ()),
+    "nonlocal": (_cmd_nonlocal, "wing-input changes that alter the far wing's outputs", ()),
+    "consistency": (_cmd_consistency, "check every input assignment admits a completion", (
+        _flag("--max-cells", _integer, "--structure", "sweep chains of 1..K cells"),
+        _flag("--structure", str, "--max-cells", "sweep a structure file instead of the chain family"))),
+    "loop": (_cmd_loop, "cell solutions under a left-output-to-right-input channel", _LOOP),
+    "loop-sweep": (_cmd_loop_sweep, "check all 27 channels x 9 input pairs stay solvable", ()),
+    "loop-exclusions": (_cmd_loop_exclusions, "hidden states a feedback channel rules out", _LOOP),
+    "prob": (_cmd_prob, "uniform distribution over completions of cell inputs",
+             (*_TRIPLE, _flag("--marginal", str, False, "reduce to the flavor distribution at EDGE", "EDGE"))),
+    "signal": (_cmd_signal, "dependence of an output marginal on a remote input", (
+        _flag("--target", str, True, "observation edge to read"),
+        _flag("--remote", str, True, "intervention edge to vary"),
+        _flag("--left", check_flavor, True, "pinned left wing input"),
+        _flag("--center", check_flavor, True, "pinned center input"))),
+    "epistemic": (_cmd_epistemic, "hidden-state weights before wing settings are fixed", (
+        _TRIPLE[1], _flag("--l-in", check_flavor, False, "known left setting"),
+        _flag("--r-in", check_flavor, False, "known right setting"))),
+    "solve": (_cmd_solve, "enumerate admissible completions of a structure file", (
+        _flag("--structure", str, True, "structure file (JSON)"), _ASSIGN,
+        _flag("--count-only", _SWITCH, False, "print only the completion count", default=False))),
+    "render": (_cmd_render, "draw a scenario as DOT or ascii", (
+        _flag("--structure", str, "--builder", "structure file (JSON)"),
+        _flag("--builder", str, "--structure", "built-in scenario: h-cell or chain:K"), _ASSIGN,
+        _flag("--format", FORMATS, False, "output format", default="ascii"))),
+}
 
-    p = sub.add_parser("hidden", help="hidden states admissible under given cell inputs")
-    _add_triple_flags(p)
 
-    sub.add_parser("classes", help="the canonical input classes")
+def _plain_args(argv: list[str]) -> Optional[SimpleNamespace]:
+    """What argparse makes of a plain command line, else None: `[--output json|text] COMMAND`, then flags spelled
+    in full, each once but a repeatable one, each value one word that passes the flag's converter and does not
+    start with '-', every required flag and exactly one flag of a pair."""
+    output = "text"
+    if argv[:1] == ["--output"]:
+        output, *argv = argv[1:] or [""]
+    if output not in _OUTPUTS or not argv or argv[0] not in _COMMANDS:
+        return None
+    args, unread = {"output": output, "command": argv[0]}, {}
+    for f in _COMMANDS[argv[0]][2]:
+        args[f.dest], unread[f.flag] = f.default, f
+    words = iter(argv[1:])
+    for word in words:
+        f = unread.get(word)
+        if f is None:
+            return None
+        if f.convert != _APPEND:  # the flag may not follow again, nor the other flag of its pair
+            del unread[word]
+            unread.pop(f.required, None)
+        if f.convert == _SWITCH:
+            args[f.dest] = True
+            continue
+        value = next(words, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            if f.convert == _APPEND:
+                value = [*(args[f.dest] or ()), value]
+            elif isinstance(f.convert, tuple):
+                f.convert.index(value)  # ValueError unless one of the choices
+            else:
+                value = f.convert(value)
+        except ValueError:
+            return None
+        args[f.dest] = value
+    return None if any(f.required for f in unread.values()) else SimpleNamespace(**args)
 
-    p = sub.add_parser("canon", help="canonical form of an input triple")
-    _add_triple_flags(p)
 
-    sub.add_parser("retro", help="wing-input changes that alter the hidden-state set")
-    sub.add_parser("nonlocal", help="wing-input changes that alter the far wing's outputs")
-
-    p = sub.add_parser("consistency", help="check every input assignment admits a completion")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--max-cells", type=int, help="sweep chains of 1..K cells")
-    group.add_argument("--structure", help="sweep a structure file instead of the chain family")
-
-    p = sub.add_parser("loop", help="cell solutions under a left-output-to-right-input channel")
-    _add_loop_flags(p)
-
-    sub.add_parser("loop-sweep", help="check all 27 channels x 9 input pairs stay solvable")
-
-    p = sub.add_parser("loop-exclusions", help="hidden states a feedback channel rules out")
-    _add_loop_flags(p)
-
-    p = sub.add_parser("prob", help="uniform distribution over completions of cell inputs")
-    _add_triple_flags(p)
-    p.add_argument("--marginal", metavar="EDGE", help="reduce to the flavor distribution at EDGE")
-
-    p = sub.add_parser("signal", help="dependence of an output marginal on a remote input")
-    p.add_argument("--target", required=True, help="observation edge to read")
-    p.add_argument("--remote", required=True, help="intervention edge to vary")
-    p.add_argument("--left", type=_flavor, required=True, help="pinned left wing input")
-    p.add_argument("--center", type=_flavor, required=True, help="pinned center input")
-
-    p = sub.add_parser("epistemic", help="hidden-state weights before wing settings are fixed")
-    p.add_argument("--center", type=_flavor, required=True, help="center input")
-    p.add_argument("--l-in", type=_flavor, help="known left setting")
-    p.add_argument("--r-in", type=_flavor, help="known right setting")
-
-    p = sub.add_parser("solve", help="enumerate admissible completions of a structure file")
-    p.add_argument("--structure", required=True, help="structure file (JSON)")
-    p.add_argument("--assign", action="append", metavar="EDGE=FLAVOR", help="pin an edge; repeatable")
-    p.add_argument("--count-only", action="store_true", help="print only the completion count")
-
-    p = sub.add_parser("render", help="draw a scenario as DOT or ascii")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--structure", help="structure file (JSON)")
-    group.add_argument("--builder", help="built-in scenario: h-cell or chain:K")
-    p.add_argument("--assign", action="append", metavar="EDGE=FLAVOR", help="pin an edge; repeatable")
-    p.add_argument("--format", choices=FORMATS, default="ascii", help="output format")
-
-    return parser
+def build_parser():
+    """The argparse parser of `_COMMANDS`, which `run` builds only for the command lines `_plain_args` leaves."""
+    from .usage import build_parser
+    return build_parser(_COMMANDS, _OUTPUTS)
 
 
 def run(argv: list[str]) -> CommandResult:
     """Dispatch one invocation; structured output on stdout, diagnostics on
     stderr. Never raises for user errors; see module docstring for codes."""
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return CommandResult(code, None)
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return CommandResult(exc.code if isinstance(exc.code, int) else 2, None)
 
     try:
-        body, exit_code = _HANDLERS[args.command](args)
-    except (InvalidStructureError, EmptySupportError) as exc:
+        body, exit_code = _COMMANDS[args.command][0](args)
+    except (InvalidStructureError, EmptySupportError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return CommandResult(1, None)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CommandResult(2, None)
+        return CommandResult(2 if isinstance(exc, (OSError, ValueError)) else 1, None)
     except Exception as exc:  # last resort: no input may end in a traceback
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return CommandResult(1, None)
@@ -468,6 +457,7 @@ def run(argv: list[str]) -> CommandResult:
     payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **body}
     with _exact_digits():
         if args.output == "json":
+            import json
             print(json.dumps(payload, indent=2, sort_keys=True))
         else:
             for line in _TEXT[args.command](body):

@@ -642,7 +642,7 @@ def test_unexpected_exception_is_a_one_line_internal_error(monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._HANDLERS, "table", broken)
+    monkeypatch.setitem(cli._COMMANDS, "table", (broken, *cli._COMMANDS["table"][1:]))
     assert run(["table"]).exit_code == 1
     captured = capsys.readouterr()
     assert captured.err == "error: internal: RuntimeError: boom\n"

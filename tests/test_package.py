@@ -131,6 +131,62 @@ def test_solve_loads_no_analysis(tmp_path):
     assert not loaded & {"helsinki.analysis", "helsinki.prob", "helsinki.loops", "helsinki.render", "dataclasses"}
 
 
+#: a plain call of each of the twelve cell commands
+CELL_CALLS = [
+    ["table"], ["classes"], ["hidden", "--left", "B", "--center", "A", "--right", "C"],
+    ["canon", "--left", "C", "--center", "B", "--right", "A"], ["retro"], ["nonlocal"],
+    ["loop", "--left", "A", "--center", "A", "--channel", "ACB"], ["loop-sweep"],
+    ["loop-exclusions", "--left", "A", "--center", "A", "--channel", "ACB"],
+    ["prob", "--left", "B", "--center", "A", "--right", "A", "--marginal", "l_out"],
+    ["signal", "--target", "l_out", "--remote", "r_in", "--left", "B", "--center", "A"],
+    ["epistemic", "--center", "A", "--l-in", "B"],
+]
+#: what only help and usage errors load
+ARGPARSE = {"argparse", "gettext", "locale", "helsinki.usage"}
+
+
+@pytest.mark.parametrize("argv", CELL_CALLS, ids=[argv[0] for argv in CELL_CALLS])
+def test_a_plain_cell_call_loads_no_argparse_and_in_text_no_json(argv):
+    loaded = loaded_after(f"from helsinki import cli\nassert cli.run({argv!r}).exit_code == 0")
+    assert not loaded & {*ARGPARSE, "json"}
+    loaded = loaded_after(f"from helsinki import cli\nassert cli.run({['--output', 'json', *argv]!r}).exit_code == 0")
+    assert "json" in loaded
+    assert not loaded & ARGPARSE
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "helsinki.cli", *argv], capture_output=True, text=True, env=env)
+
+
+def test_a_bad_flavor_still_gets_argparse_usage():
+    proc = run_cli("hidden", "--left", "D", "--center", "A", "--right", "A")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: helsinki hidden ")
+    assert proc.stderr.endswith("error: argument --left: unknown flavor 'D'; expected one of A, B, C\n")
+
+
+def test_a_usage_error_of_the_cli_module_loads_it_once():
+    # run as `python -m helsinki.cli` the module is __main__; the parser builder must not import it again
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-X", "importtime", "-m", "helsinki.cli", "hidden", "--left", "D", "--center", "A",
+            "--right", "A"]
+    imported = [line.rpartition("|")[2].strip() for line in subprocess.run(
+        argv, capture_output=True, text=True, env=env).stderr.splitlines() if line.startswith("import time:")]
+    assert "helsinki.usage" in imported
+    assert "helsinki.cli" not in imported
+
+
+def test_help_exits_zero_and_lists_all_15_commands():
+    proc = run_cli("--help")
+    assert proc.returncode == 0
+    assert len(cli._COMMANDS) == 15
+    assert "{" + ",".join(cli._COMMANDS) + "}" in proc.stdout
+    listed = [line.split()[0] for line in proc.stdout.splitlines() if line[:4] == "    " and line[4:5] != " "]
+    assert listed == list(cli._COMMANDS)
+
+
 def test_a_usage_error_loads_no_engine():
     loaded = loaded_after(
         "from helsinki import cli\n"

@@ -6,6 +6,7 @@ topological order, so the solver's narrow order need not follow the ids.
 """
 
 import contextlib
+import copy
 import io
 import itertools
 import json
@@ -208,7 +209,8 @@ def mutated_documents(draw):
         kind = draw(st.sampled_from(["retype", "delete", "rename"] if isinstance(container, dict) else ["retype"]))
         if kind == "retype":
             old = container[key]
-            container[key] = draw(st.sampled_from([v for v in JSON_VALUES if type(v) is not type(old)]))
+            # a copy: a later mutation may edit the value in place, which must not change JSON_VALUES
+            container[key] = copy.deepcopy(draw(st.sampled_from([v for v in JSON_VALUES if type(v) is not type(old)])))
         elif kind == "delete":
             del container[key]
         else:
