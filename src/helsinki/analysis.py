@@ -99,17 +99,15 @@ class ConsistencyReport(NamedTuple):
     counterexample: Optional[tuple[Scenario, Assignment]]
 
 
+def reflect_triple(t: InputTriple) -> InputTriple:
+    return InputTriple(t.right, t.center, t.left)
+
+
 def apply_transform(t: InputTriple, transform: Transform) -> InputTriple:
     """Relabel flavors, then swap wings if reflected (the two commute)."""
     p = transform.permutation
     mapped = InputTriple(p[t.left], p[t.center], p[t.right])
-    if transform.reflected:
-        mapped = InputTriple(mapped.right, mapped.center, mapped.left)
-    return mapped
-
-
-def reflect_triple(t: InputTriple) -> InputTriple:
-    return InputTriple(t.right, t.center, t.left)
+    return reflect_triple(mapped) if transform.reflected else mapped
 
 
 #: the basic cell's edges in sorted order, each with its role: what

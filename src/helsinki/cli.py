@@ -164,6 +164,8 @@ def _cmd_consistency(args):
     if args.structure is not None:
         scenario, _ = _load_scenario(args.structure)
         report = analysis.check_all_inputs(scenario, family=f"file:{args.structure}")
+    elif args.max_cells < 1:
+        raise ValueError(f"--max-cells must be at least 1, got {args.max_cells}")
     else:
         report = analysis.consistency_sweep(args.max_cells)
 

@@ -111,36 +111,12 @@ def production_completions(value: Flavor) -> list[tuple[Flavor, Flavor]]:
     return sorted([(value, value), (others[0], others[1]), (others[1], others[0])])
 
 
-# --- flavor permutations (the symmetry group of the rules) ---
-
-IDENTITY: Permutation = {f: f for f in FLAVORS}
+# --- flavor permutations: the six bijections of A, B, C (the symmetry
+# group of the rules) and their action on assignments ---
 
 ALL_PERMUTATIONS: tuple[Permutation, ...] = tuple(
     dict(zip(FLAVORS, images)) for images in itertools.permutations(FLAVORS)
 )
-
-
-def permutation_from_string(images: str) -> Permutation:
-    """Build a flavor bijection from the images of A, B, C in order.
-
-    "BCA" means A->B, B->C, C->A.
-    """
-    if len(images) != 3 or set(images) != set(FLAVORS):
-        raise ValueError(f"not a flavor bijection: {images!r}")
-    return dict(zip(FLAVORS, images))
-
-
-def permutation_to_string(p: Permutation) -> str:
-    return "".join(p[f] for f in FLAVORS)
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """The bijection applying q first, then p."""
-    return {f: p[q[f]] for f in FLAVORS}
-
-
-def invert(p: Permutation) -> Permutation:
-    return {image: f for f, image in p.items()}
 
 
 def apply_permutation(p: Permutation, assignment: dict[str, Flavor]) -> dict[str, Flavor]:

@@ -133,7 +133,8 @@ class _Layout(NamedTuple):
     #: per node, in narrow order: its edge ids, a getter for their pins,
     #: and its moves table (one table for the nodes read alike)
     steps: tuple[tuple[tuple[str, ...], Callable[[dict], tuple], _Moves], ...]
-    #: edges no node reads, a factor of 3 each unless pinned
+    #: the sorted edges no node reads, which `_compile` finds as those its
+    #: `touching` map lacks: a factor of 3 each unless pinned
     loose: tuple[str, ...]
 
 
@@ -190,7 +191,7 @@ def _compile(structure: Structure) -> _Layout:
                 heapq.heappush(heap, (-links[m], m))
         steps.append((incident, itemgetter(*incident), _moves(reads, tuple(project))))
         frontier = live
-    return _Layout(dict.fromkeys(walk.edges), tuple(steps), tuple(walk.loose))
+    return _Layout(dict.fromkeys(walk.edges), tuple(steps), tuple(e for e in walk.edges if e not in touching))
 
 
 def _pins(layout: _Layout, partial: Assignment) -> dict[str, Optional[str]]:

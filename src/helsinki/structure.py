@@ -171,7 +171,7 @@ class NodeOrder(NamedTuple):
     """The one walk over a structure: its port table, topological order,
     path depths and violations. Shared; readers must not mutate it."""
 
-    #: sorted edge ids
+    #: sorted edge ids (the solver finds for itself those that touch no node)
     edges: list[str]
     #: node -> port -> edge id
     ports: dict[str, dict[str, str]]
@@ -182,8 +182,6 @@ class NodeOrder(NamedTuple):
     order: list[str]
     #: ordered node -> node count of the longest directed path ending there
     depth: dict[str, int]
-    #: sorted edges that touch no node
-    loose: list[str]
     #: every broken structural invariant, in report order
     violations: tuple[Violation, ...]
 
@@ -201,7 +199,6 @@ def _walk(structure: Structure) -> NodeOrder:
     clash: dict[tuple[str, str], list[str]] = {}  # (node, port) -> every edge using it, if more than one
     edge_v: list[Violation] = []
     link_v: list[Violation] = []
-    loose: list[str] = []
     edges = sorted(structure.edges)
     for eid in edges:
         linked, turned = [], []  # direction faults are reported after both ends' port faults
@@ -231,8 +228,6 @@ def _walk(structure: Structure) -> NodeOrder:
             succ[src].append(dst)
             if nodes[src] == nodes[dst]:
                 link_v.append(Violation("alternation", eid, f"links two {nodes[src]} nodes ({src} -> {dst})"))
-        elif not linked:
-            loose.append(eid)
 
     # node kinds, and every port of every node used exactly once
     kind_v: list[Violation] = []
@@ -267,7 +262,7 @@ def _walk(structure: Structure) -> NodeOrder:
                 heapq.heappush(ready, nxt)
     stuck = sorted(nid for nid, d in indeg.items() if d > 0)
     cycle = [Violation("cycle", ",".join(stuck), "directed cycle through these nodes")] if stuck else []
-    return NodeOrder(edges, ports, preds, order, depth, loose, tuple(kind_v + edge_v + port_v + link_v + cycle))
+    return NodeOrder(edges, ports, preds, order, depth, tuple(kind_v + edge_v + port_v + link_v + cycle))
 
 
 def node_order(structure: Structure) -> NodeOrder:

@@ -166,4 +166,4 @@ def test_max_cells_reads_ascii_digits_with_an_optional_minus(cells, value):
 @pytest.mark.parametrize("cells", ["0", "-1"])
 def test_max_cells_below_one_is_a_usage_error(cells, capsys):
     assert run(["consistency", "--max-cells", cells]).exit_code == 2
-    assert capsys.readouterr().err == f"error: max_cells must be at least 1, got {int(cells)}\n"
+    assert capsys.readouterr().err == f"error: --max-cells must be at least 1, got {int(cells)}\n"

@@ -11,7 +11,7 @@ from helsinki.loops import (
     parse_channel,
     solve_loop,
 )
-from helsinki.model import ALL_PERMUTATIONS, FLAVORS, compose, invert
+from helsinki.model import ALL_PERMUTATIONS, FLAVORS
 from helsinki.solver import complete, is_admissible
 from helsinki.structure import build_h_cell
 
@@ -102,10 +102,11 @@ def test_loop_only_filters_the_free_solutions():
             assert tuple(s) in projected
 
 
-def test_solve_loop_permutation_equivariant():
-    channel = parse_channel("ACB")
+@pytest.mark.parametrize("channel", ALL_CHANNELS, ids=channel_to_string)
+def test_solve_loop_permutation_equivariant(channel):
+    # conjugation is defined for any flavor map, bijective or not
     for p in ALL_PERMUTATIONS:
-        conjugated = compose(p, compose(channel, invert(p)))
+        conjugated = {p[f]: p[channel[f]] for f in FLAVORS}
         for left, center in itertools.product(FLAVORS, repeat=2):
             direct = solve_loop(p[left], p[center], conjugated)
             mapped = sorted(

@@ -6,14 +6,9 @@ from hypothesis import given, strategies as st
 from helsinki.model import (
     ALL_PERMUTATIONS,
     FLAVORS,
-    IDENTITY,
     annihilation_output,
     apply_permutation,
-    compose,
-    invert,
     node_admissible,
-    permutation_from_string,
-    permutation_to_string,
     production_completions,
 )
 
@@ -80,31 +75,14 @@ def test_production_completions_shape():
 
 def test_apply_permutation_identity():
     assignment = {"e1": "A", "e2": "C"}
-    assert apply_permutation(IDENTITY, assignment) == assignment
+    assert apply_permutation({"A": "A", "B": "B", "C": "C"}, assignment) == assignment
 
 
 def test_apply_permutation_pointwise():
-    swap = permutation_from_string("BAC")
+    swap = {"A": "B", "B": "A", "C": "C"}
     assert apply_permutation(swap, {"e1": "A", "e2": "C"}) == {"e1": "B", "e2": "C"}
-    cycle = permutation_from_string("BCA")
+    cycle = {"A": "B", "B": "C", "C": "A"}
     assert apply_permutation(cycle, {"e1": "A"}) == {"e1": "B"}
-
-
-def test_permutation_string_round_trip():
-    for p in ALL_PERMUTATIONS:
-        assert permutation_from_string(permutation_to_string(p)) == p
-
-
-@pytest.mark.parametrize("bad", ["AB", "ABCD", "AAB", "XYZ", ""])
-def test_permutation_from_string_rejects(bad):
-    with pytest.raises(ValueError):
-        permutation_from_string(bad)
-
-
-def test_invert_round_trip():
-    for p in ALL_PERMUTATIONS:
-        assert compose(p, invert(p)) == IDENTITY
-        assert compose(invert(p), p) == IDENTITY
 
 
 assignments = st.dictionaries(
@@ -117,4 +95,4 @@ assignments = st.dictionaries(
 @given(assignments, st.sampled_from(ALL_PERMUTATIONS), st.sampled_from(ALL_PERMUTATIONS))
 def test_apply_permutation_composes(assignment, p, q):
     via_steps = apply_permutation(p, apply_permutation(q, assignment))
-    assert via_steps == apply_permutation(compose(p, q), assignment)
+    assert via_steps == apply_permutation({f: p[q[f]] for f in FLAVORS}, assignment)

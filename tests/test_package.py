@@ -1,6 +1,7 @@
 """The package surface: lazily loaded public names, what each CLI command
 loads, and the records that replaced dataclasses."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -268,6 +269,36 @@ def test_submodules_stay_reachable_as_attributes():
     assert "helsinki.loops" in loaded_after("import helsinki\nassert helsinki.loops.parse_channel('ACB')")
     assert helsinki.solver is solver
     assert helsinki.__version__ == "0.1.0"
+
+
+def test_every_top_level_name_has_a_reader():
+    """Each top-level function, class and constant of `src/helsinki` is read
+    somewhere in the package (a loaded name, an attribute or an import), or
+    is listed in `helsinki._EXPORTS`."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(helsinki.__file__).parent.glob("*.py"))}
+    read = {name for names in helsinki._EXPORTS.values() for name in names.split()}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [f"{module}.{name}" for name in names
+                       if not (name.startswith("__") and name.endswith("__")) and name not in read]
+    assert not unread, f"read nowhere in src/helsinki and not exported: {', '.join(unread)}"
 
 
 # --- records ---
