@@ -21,7 +21,7 @@ _EXPORTS = {
     "render": "render",
     "solver": "SolveResult brute_force_complete complete count_completions has_completion is_admissible",
     "structure": "Endpoint InvalidStructureError ParseError Scenario Structure Violation build_chain build_h_cell"
-    " intervention_edges longest_node_path observation_edges hidden_edges parse_scenario"
+    " intervention_edges longest_node_path parse_scenario"
     " parse_scenario_document reverse_time serialize_scenario validate_topology",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

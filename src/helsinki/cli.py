@@ -76,9 +76,12 @@ def _parse_assignments(pairs: Optional[list[str]]) -> dict[str, str]:
 
 
 def _load_scenario(path: str):
-    from .structure import parse_scenario_document
+    from .structure import ParseError, parse_scenario_document
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:  # one decode of the whole file, so the offset is the file's
+            raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}: {path!r}") from None
     scenario, embedded = parse_scenario_document(text)
     return scenario, embedded or {}
 

@@ -30,17 +30,18 @@ layout's blank assignment in sorted edge order. All four searches read
 those tables. `complete` and `has_completion` walk them depth-first with
 an explicit stack of open branch points, so no recursion limit bounds the
 depth, and write each filling into that same pin dict once every pin is
-read; each solution of `complete` is a copy of it. A branch point
-left without a solution marks its (node, frontier) dead, and no later
-path enters it again, so a dead end costs once. `explored`
-counts the moves the walk examines. `count_completions` never enumerates:
-it keeps, per frontier, the number of partial assignments reaching it, so
-the count is exact and its time is linear in the number of nodes times
-the frontier size. `least_stranding_input` runs the same tables over sets
-of frontiers, each with the least choice of some edges reaching it, to
-find the least choice that leaves no completion in one pass. Structures
-are assumed to satisfy `validate_topology`; builders and the file parser
-only hand over valid ones.
+read; each solution of `complete` is a copy of it. Each move of the last
+step is a solution, so one loop, with no branch point, writes and copies
+each. A branch point left without a solution marks its (node, frontier)
+dead, and no later path enters it again, so a dead end costs once.
+`explored` counts the moves the walk examines. `count_completions` never
+enumerates: it keeps, per frontier, the number of partial assignments
+reaching it, so the count is exact and its time is linear in the number
+of nodes times the frontier size. `least_stranding_input` runs the same
+tables over sets of frontiers, each with the least choice of some edges
+reaching it, to find the least choice that leaves no completion in one
+pass. Structures are assumed to satisfy `validate_topology`; builders and
+the file parser only hand over valid ones.
 """
 
 from __future__ import annotations
@@ -212,12 +213,15 @@ def _walk(steps: Sequence[tuple], pin: dict[str, Optional[str]], limit: Optional
 
     `pin` is also the running assignment: each step writes its filling into
     it at its edges. That is sound only because every step's pins are read
-    (`keys`) before the first write. Only a step with a choice opens a
-    branch point. One closed without a solution marks its (step, frontier)
-    dead: the frontier alone decides what the later steps admit, so no
-    later path enters it again.
+    (`keys`) before the first write. Each move of the last step is a
+    solution, written and copied in one loop (`limit` is checked after it).
+    Only an earlier step with a choice opens a branch point. One closed
+    without a solution marks its (step, frontier) dead: the frontier alone
+    decides what the later steps admit, so no later path enters it again.
     """
-    end = len(steps)
+    if not steps:
+        return [pin.copy()], 0
+    last = len(steps) - 1
     keys = [pins_of(pin) for _, pins_of, _ in steps]
     stack: list[tuple] = []  # open branch points: (step, frontier, moves, next to try, solutions before)
     dead: set[tuple[int, tuple]] = set()
@@ -226,7 +230,7 @@ def _walk(steps: Sequence[tuple], pin: dict[str, Optional[str]], limit: Optional
     frontier: tuple = ()
 
     while True:
-        while s < end:
+        while s < last:
             (a, b, c), _, table = steps[s]
             moves = table[frontier + keys[s]]
             n = len(moves)
@@ -238,10 +242,15 @@ def _walk(steps: Sequence[tuple], pin: dict[str, Optional[str]], limit: Optional
             (pin[a], pin[b], pin[c], _), frontier = moves[0]
             s += 1
         else:
-            solutions.append(pin.copy())
-            if len(solutions) == limit:
+            (a, b, c), _, table = steps[last]
+            moves = table[frontier + keys[last]]
+            explored += len(moves)
+            for (pin[a], pin[b], pin[c], _), _ in moves:
+                solutions.append(pin.copy())
+            if limit and len(solutions) >= limit:
+                del solutions[limit:]
                 break
-        # a solution or a dead end: resume at the latest open branch point
+        # the last step or a dead end: resume at the latest open branch point
         while stack:
             s, entered, moves, k, before = stack.pop()
             if k < len(moves):

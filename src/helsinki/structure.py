@@ -311,14 +311,6 @@ def intervention_edges(scenario: Scenario) -> list[str]:
     return sorted(e for e, r in scenario.roles.items() if r == INTERVENTION)
 
 
-def observation_edges(scenario: Scenario) -> list[str]:
-    return sorted(e for e, r in scenario.roles.items() if r == OBSERVATION)
-
-
-def hidden_edges(scenario: Scenario) -> list[str]:
-    return sorted(e for e, r in scenario.roles.items() if r == HIDDEN)
-
-
 # --- canonical builders ---
 
 

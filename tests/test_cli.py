@@ -562,6 +562,15 @@ def test_non_string_port_is_usage_error(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["render", "consistency", "solve"])
+def test_a_structure_file_that_is_not_utf8_is_named(command, tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert run([command, "--structure", str(path)]).exit_code == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: not UTF-8 text: invalid start byte at byte 0: {str(path)!r}\n")
+
+
 def test_malformed_json_is_usage_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{")

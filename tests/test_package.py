@@ -41,8 +41,8 @@ EXPORTS = {
     ],
     "structure": [
         "Endpoint", "InvalidStructureError", "ParseError", "Scenario", "Structure", "Violation", "build_chain",
-        "build_h_cell", "intervention_edges", "longest_node_path", "observation_edges", "hidden_edges",
-        "parse_scenario", "parse_scenario_document", "reverse_time", "serialize_scenario", "validate_topology",
+        "build_h_cell", "intervention_edges", "longest_node_path", "parse_scenario", "parse_scenario_document",
+        "reverse_time", "serialize_scenario", "validate_topology",
     ],
 }
 

@@ -33,6 +33,7 @@ from helsinki.structure import (
     build_h_cell,
     memo,
     reverse_time,
+    validate_topology,
 )
 
 CELL = build_h_cell().structure
@@ -68,6 +69,16 @@ def wired_cell() -> Scenario:
     cell = build_h_cell().structure
     wire = Edge(Endpoint.at_terminal("w", PAST), Endpoint.at_terminal("w", FUTURE))
     return Scenario.derive(Structure(dict(cell.nodes), {**cell.edges, "w": wire}))
+
+
+def lone_production() -> Scenario:
+    """One production from the past to the future: the layout's last step is its only step."""
+    edges = {
+        "c": Edge(Endpoint.at_terminal("c", PAST), Endpoint.at_port("p", "in1")),
+        "x": Edge(Endpoint.at_port("p", "out1"), Endpoint.at_terminal("x", FUTURE)),
+        "y": Edge(Endpoint.at_port("p", "out2"), Endpoint.at_terminal("y", FUTURE)),
+    }
+    return Scenario.derive(Structure({"p": PRODUCTION}, edges))
 
 
 def free_line() -> Scenario:
@@ -152,12 +163,34 @@ def test_complete_is_deterministic():
 
 @pytest.mark.parametrize(
     "partial, explored, solutions",
-    [({}, 44919, 28776), ({"h_left.2": "A", "l_out.3": "B"}, 6401, 3220)],
+    [
+        ({}, 44919, 28776),
+        ({"h_left.2": "A", "l_out.3": "B"}, 6401, 3220),
+        # read at the last cell, so most of its dead ends sit at the last step
+        ({"h_left.2": "A", "r_out.3": "B"}, 8667, 3220),
+    ],
 )
 def test_chain_three_search_effort_is_pinned(partial, explored, solutions):
     # the layout and the visit order decide `explored`; these figures pin it
     result = complete(build_chain(3).structure, partial)
     assert (result.explored, len(result.solutions)) == (explored, solutions)
+
+
+def test_reversed_chain_three_search_effort_is_pinned():
+    result = complete(reverse_time(build_chain(3)).structure, {})
+    assert (result.explored, len(result.solutions)) == (44919, 28776)
+
+
+@pytest.mark.parametrize(
+    "partial, moves", [({}, 9), ({"c": "A"}, 3), ({"c": "A", "x": "A"}, 1), ({"c": "A", "x": "A", "y": "B"}, 0)]
+)
+def test_a_one_step_layout_finds_each_move_of_its_step(partial, moves):
+    structure = lone_production().structure
+    assert validate_topology(structure) == [] and len(memo(structure, solver._compile).steps) == 1
+    result = complete(structure, partial)
+    assert (result.explored, len(result.solutions)) == (moves, moves)
+    oracle = brute_force_complete(structure, partial)
+    assert result.solutions == oracle and has_completion(structure, partial) == bool(oracle)
 
 
 def test_has_completion_on_a_thousand_cells():
@@ -288,7 +321,7 @@ def test_complete_rejects_unknown_edge():
 
 
 @pytest.mark.parametrize(
-    "scenario", [build_h_cell(), diamond(), free_line(), reverse_time(build_h_cell())]
+    "scenario", [build_h_cell(), diamond(), free_line(), reverse_time(build_h_cell()), lone_production()]
 )
 def test_routes_agree_on_empty_partial(scenario):
     assert complete(scenario.structure, {}).solutions == brute_force_complete(scenario.structure, {})
@@ -512,6 +545,7 @@ ORACLE_STRUCTURES = {
     "reversed chain:2": reverse_time(build_chain(2)).structure,
     "diamond": diamond().structure,
     "wired cell": wired_cell().structure,
+    "lone production": lone_production().structure,
 }
 
 

@@ -24,10 +24,8 @@ from helsinki.structure import (
     build_chain,
     build_h_cell,
     derive_roles,
-    hidden_edges,
     intervention_edges,
     longest_node_path,
-    observation_edges,
     parse_scenario,
     parse_scenario_document,
     reverse_time,
@@ -38,6 +36,10 @@ from helsinki.structure import (
 
 def codes(violations):
     return sorted(v.code for v in violations)
+
+
+def edges_with(scenario, role):
+    return sorted(e for e, r in scenario.roles.items() if r == role)
 
 
 # --- builders ---
@@ -63,7 +65,7 @@ def test_h_cell_valid():
 
 
 def test_h_cell_two_hidden_edges():
-    assert hidden_edges(build_h_cell()) == ["h_left", "h_right"]
+    assert edges_with(build_h_cell(), HIDDEN) == ["h_left", "h_right"]
 
 
 def test_chain_one_is_the_plain_cell():
@@ -80,7 +82,7 @@ def test_chain_two_shape():
     assert len(chain.structure.nodes) == 6
     assert len(chain.structure.edges) == 13
     assert intervention_edges(chain) == ["c_in", "l_in.1", "l_in.2", "r_in.1", "r_in.2"]
-    assert observation_edges(chain) == ["l_out.1", "l_out.2", "r_out.2"]
+    assert edges_with(chain, OBSERVATION) == ["l_out.1", "l_out.2", "r_out.2"]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -196,7 +198,7 @@ def test_reverse_time_involution():
 def test_reverse_time_roles():
     reversed_cell = reverse_time(build_h_cell())
     assert intervention_edges(reversed_cell) == ["l_out", "r_out"]
-    assert observation_edges(reversed_cell) == ["c_in", "l_in", "r_in"]
+    assert edges_with(reversed_cell, OBSERVATION) == ["c_in", "l_in", "r_in"]
 
 
 def test_reverse_time_kinds():
