@@ -15,12 +15,13 @@ _EXPORTS = {
     " nonlocality_witnesses retro_witnesses state_table",
     "loops": "ALL_CHANNELS Channel LoopSolution LoopSweepReport channel_to_string loop_exclusions"
     " loop_universality parse_channel solve_loop",
-    "model": "ALL_PERMUTATIONS FLAVORS annihilation_output apply_permutation node_admissible production_completions",
-    "prob": "CompletionDistribution EmptySupportError completion_distribution epistemic_state marginal"
-    " signalling_score total_variation",
+    "model": "ALL_PERMUTATIONS EmptySupportError FLAVORS InvalidStructureError annihilation_output"
+    " apply_permutation node_admissible production_completions",
+    "prob": "CompletionDistribution completion_distribution epistemic_state marginal signalling_score"
+    " total_variation",
     "render": "render",
     "solver": "SolveResult brute_force_complete complete count_completions has_completion is_admissible",
-    "structure": "Endpoint InvalidStructureError ParseError Scenario Structure Violation build_chain build_h_cell"
+    "structure": "Endpoint ParseError Scenario Structure Violation build_chain build_h_cell"
     " intervention_edges longest_node_path parse_scenario"
     " parse_scenario_document reverse_time serialize_scenario validate_topology",
 }

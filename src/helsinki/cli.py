@@ -75,13 +75,23 @@ def _parse_assignments(pairs: Optional[list[str]]) -> dict[str, str]:
     return out
 
 
+#: the most bytes a structure file may hold, so that a path with no end (`/dev/zero`, an endless pipe) is a
+#: parse error and not a read that fills the memory; chain:2000 is 2.7 MB, so 64 MiB holds about 49 000 cells
+_MAX_STRUCTURE_BYTES = 64 << 20
+
+
 def _load_scenario(path: str):
     from .structure import ParseError, parse_scenario_document
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError as exc:  # one decode of the whole file, so the offset is the file's
-            raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}: {path!r}") from None
+    with open(path, "rb") as handle:
+        data = handle.read(_MAX_STRUCTURE_BYTES + 1)
+    if len(data) > _MAX_STRUCTURE_BYTES:
+        raise ParseError(f"more than {_MAX_STRUCTURE_BYTES} bytes, the most a structure file may hold: {path!r}")
+    try:
+        text = data.decode("utf-8")  # one decode of the whole file, so the offset is the file's
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}: {path!r}") from None
+    if "\r" in text:  # text mode's newline translation, so JSON errors keep their line and column
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     scenario, embedded = parse_scenario_document(text)
     return scenario, embedded or {}
 
@@ -379,7 +389,7 @@ _COMMANDS = {
              (*_TRIPLE, _flag("--marginal", str, False, "reduce to the flavor distribution at EDGE", "EDGE"))),
     "signal": (_cmd_signal, "dependence of an output marginal on a remote input", (
         _flag("--target", str, True, "observation edge to read"),
-        _flag("--remote", str, True, "intervention edge to vary"),
+        _flag("--remote", str, True, "intervention edge to vary: r_in, as --left and --center pin l_in and c_in"),
         _flag("--left", check_flavor, True, "pinned left wing input"),
         _flag("--center", check_flavor, True, "pinned center input"))),
     "epistemic": (_cmd_epistemic, "hidden-state weights before wing settings are fixed", (

@@ -180,12 +180,9 @@ def epistemic_state(
 
     left_options = [known["l_in"]] if "l_in" in known else list(FLAVORS)
     right_options = [known["r_in"]] if "r_in" in known else list(FLAVORS)
-    pairs = [(l, r) for l in left_options for r in right_options]
-
-    weights = {}
-    for hidden in production_completions(center_in):
-        admitting = sum(
-            1 for l, r in pairs if hidden in hidden_state_set(InputTriple(l, center_in, r))
-        )
-        weights[hidden] = Fraction(admitting, len(pairs))
-    return weights
+    # the hidden states each wing-setting pair admits, built once per pair
+    admitted = [hidden_state_set(InputTriple(l, center_in, r)) for l in left_options for r in right_options]
+    return {
+        hidden: Fraction(sum(hidden in states for states in admitted), len(admitted))
+        for hidden in production_completions(center_in)
+    }

@@ -9,19 +9,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .model import FORMATS, Assignment, check_partial
-from .structure import (
-    FUTURE,
-    HIDDEN,
-    INTERVENTION,
-    InvalidStructureError,
-    NodeOrder,
-    PAST,
-    PRODUCTION,
-    PORTS,
-    Scenario,
-    node_order,
-)
+from .model import FORMATS, HIDDEN, INTERVENTION, PRODUCTION, Assignment, InvalidStructureError, check_partial
+from .structure import FUTURE, PAST, PORTS, NodeOrder, Scenario, node_order
 
 
 def render(scenario: Scenario, assignment: Optional[Assignment] = None, fmt: str = "ascii") -> str:

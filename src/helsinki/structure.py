@@ -11,9 +11,14 @@ no function here mutates its inputs. Each structure object's graph is
 walked and checked once (`node_order`), and what is derived from it is
 kept on the object itself (`memo`), so a structure must not be mutated
 after its first validate, render or search: build a new one instead. A
-copy or a pickle round trip starts with nothing derived. A file's endpoint
-is read (`Endpoint.from_json`) straight into a tuple when it has one of the
-two well-formed shapes; its location and error are composed only when not.
+copy or a pickle round trip starts with nothing derived.
+
+An endpoint is built by its constructor, `Endpoint(node, port)` or
+`Endpoint(terminal=name, side=side)`, and read by unpacking it as
+`(node, port, terminal, side)`; it is a terminal exactly when `terminal`
+is not None. A file's endpoint is read (`Endpoint.from_json`) straight
+into a tuple when it has one of the two well-formed shapes; its location
+and error are composed only when not.
 """
 
 from __future__ import annotations
@@ -82,18 +87,6 @@ class Endpoint(NamedTuple):
     side: Optional[str] = None
 
     @staticmethod
-    def at_port(node: str, port: str) -> "Endpoint":
-        return Endpoint(node, port)
-
-    @staticmethod
-    def at_terminal(name: str, side: str) -> "Endpoint":
-        return Endpoint(None, None, name, side)
-
-    @property
-    def is_terminal(self) -> bool:
-        return self.terminal is not None
-
-    @staticmethod
     def from_json(obj: object, eid: str, end: str) -> "Endpoint":
         """Read the `end` ("from" or "to") of edge `eid` from its JSON form."""
         if isinstance(obj, dict) and len(obj) == 2:  # the well-formed shapes; anything else only picks its error
@@ -152,9 +145,6 @@ class Structure:
 
     def __repr__(self) -> str:
         return f"Structure(nodes={self.nodes!r}, edges={self.edges!r})"
-
-    def edge_ids(self) -> list[str]:
-        return sorted(self.edges)
 
 
 def memo(structure: Structure, build: Callable):
@@ -290,7 +280,7 @@ def derive_roles(structure: Structure) -> dict[str, str]:
     an intervention.
     """
     roles = {}
-    for eid in structure.edge_ids():
+    for eid in sorted(structure.edges):
         (_, _, source, _), (_, _, target, _) = structure.edges[eid]  # the terminal of each end
         roles[eid] = INTERVENTION if source is not None else OBSERVATION if target is not None else HIDDEN
     return roles
@@ -344,17 +334,17 @@ def build_chain(k: int) -> Scenario:
         nodes[ann_r] = ANNIHILATION
 
         if i == 1:
-            edges["c_in"] = Edge(Endpoint.at_terminal("c_in", PAST), Endpoint.at_port(prod, "in1"))
+            edges["c_in"] = Edge(Endpoint(terminal="c_in", side=PAST), Endpoint(prod, "in1"))
         else:
-            edges[f"c_mid{tag}"] = Edge(Endpoint.at_port(f"ann_r.{i - 1}", "out1"), Endpoint.at_port(prod, "in1"))
+            edges[f"c_mid{tag}"] = Edge(Endpoint(f"ann_r.{i - 1}", "out1"), Endpoint(prod, "in1"))
 
-        edges[f"h_left{tag}"] = Edge(Endpoint.at_port(prod, "out1"), Endpoint.at_port(ann_l, "in1"))
-        edges[f"h_right{tag}"] = Edge(Endpoint.at_port(prod, "out2"), Endpoint.at_port(ann_r, "in1"))
-        edges[f"l_in{tag}"] = Edge(Endpoint.at_terminal(f"l_in{tag}", PAST), Endpoint.at_port(ann_l, "in2"))
-        edges[f"r_in{tag}"] = Edge(Endpoint.at_terminal(f"r_in{tag}", PAST), Endpoint.at_port(ann_r, "in2"))
-        edges[f"l_out{tag}"] = Edge(Endpoint.at_port(ann_l, "out1"), Endpoint.at_terminal(f"l_out{tag}", FUTURE))
+        edges[f"h_left{tag}"] = Edge(Endpoint(prod, "out1"), Endpoint(ann_l, "in1"))
+        edges[f"h_right{tag}"] = Edge(Endpoint(prod, "out2"), Endpoint(ann_r, "in1"))
+        edges[f"l_in{tag}"] = Edge(Endpoint(terminal=f"l_in{tag}", side=PAST), Endpoint(ann_l, "in2"))
+        edges[f"r_in{tag}"] = Edge(Endpoint(terminal=f"r_in{tag}", side=PAST), Endpoint(ann_r, "in2"))
+        edges[f"l_out{tag}"] = Edge(Endpoint(ann_l, "out1"), Endpoint(terminal=f"l_out{tag}", side=FUTURE))
         if i == k:
-            edges[f"r_out{tag}"] = Edge(Endpoint.at_port(ann_r, "out1"), Endpoint.at_terminal(f"r_out{tag}", FUTURE))
+            edges[f"r_out{tag}"] = Edge(Endpoint(ann_r, "out1"), Endpoint(terminal=f"r_out{tag}", side=FUTURE))
 
     return Scenario.derive(Structure(nodes, edges))
 
@@ -368,9 +358,10 @@ def reverse_time(scenario: Scenario) -> Scenario:
     """
 
     def mirror(ep: Endpoint) -> Endpoint:
-        if ep.is_terminal:
-            return Endpoint.at_terminal(ep.terminal, _MIRROR_SIDE[ep.side])
-        return Endpoint.at_port(ep.node, _MIRROR_PORT[ep.port])
+        node, port, terminal, side = ep
+        if terminal is not None:
+            return Endpoint(terminal=terminal, side=_MIRROR_SIDE[side])
+        return Endpoint(node, _MIRROR_PORT[port])
 
     struct = scenario.structure
     nodes = {nid: _FLIP_KIND[kind] for nid, kind in struct.nodes.items()}

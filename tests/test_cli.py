@@ -571,6 +571,50 @@ def test_a_structure_file_that_is_not_utf8_is_named(command, tmp_path, capsys):
     assert (captured.out, captured.err) == ("", f"error: not UTF-8 text: invalid start byte at byte 0: {str(path)!r}\n")
 
 
+def test_a_byte_that_is_not_utf8_is_named_by_its_offset_in_the_file(tmp_path, capsys):
+    path = tmp_path / "late.json"
+    path.write_bytes(b"{\n" + b" " * 100_000 + b"\xff}")
+    assert run(["solve", "--structure", str(path)]).exit_code == 2
+    assert capsys.readouterr().err == f"error: not UTF-8 text: invalid start byte at byte 100002: {str(path)!r}\n"
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r", b"\n"], ids=["crlf", "cr", "lf"])
+def test_json_errors_count_lines_across_every_newline(newline, tmp_path, capsys):
+    path = tmp_path / "lines.json"
+    path.write_bytes(b"{" + newline * 2 + b"  x}")
+    assert run(["solve", "--structure", str(path)]).exit_code == 2
+    expected = "error: invalid JSON at line 3, column 3: Expecting property name enclosed in double quotes\n"
+    assert capsys.readouterr().err == expected
+
+
+def test_a_structure_file_over_the_size_limit_is_a_parse_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "_MAX_STRUCTURE_BYTES", 10)
+    path = tmp_path / "big.json"
+    path.write_bytes(b'{"x": 123}')  # 10 bytes: read in full
+    assert run(["solve", "--structure", str(path)]).exit_code == 2
+    assert capsys.readouterr().err == "error: missing required field 'nodes'\n"
+    path.write_bytes(b'{"x": 1234}')
+    assert run(["solve", "--structure", str(path)]).exit_code == 2
+    assert capsys.readouterr().err == f"error: more than 10 bytes, the most a structure file may hold: {str(path)!r}\n"
+
+
+def test_a_structure_file_with_no_end_is_a_parse_error_within_bounded_memory():
+    resource = pytest.importorskip("resource")
+    if not os.path.exists("/dev/zero"):
+        pytest.skip("no /dev/zero")
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "helsinki.cli", "solve", "--structure", "/dev/zero"],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, hard)),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    limit = cli._MAX_STRUCTURE_BYTES
+    assert proc.stderr == f"error: more than {limit} bytes, the most a structure file may hold: '/dev/zero'\n"
+
+
 def test_malformed_json_is_usage_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{")

@@ -3,6 +3,7 @@ loads, and the records that replaced dataclasses."""
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from helsinki.structure import Edge, Endpoint, Structure, Violation, build_chain
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-#: module -> the names `import helsinki` has always offered from it, in order
+#: module -> the names `import helsinki` offers from it, in order; each is listed under the module that defines it
 EXPORTS = {
     "analysis": [
         "ALL_INPUT_TRIPLES", "ConsistencyReport", "InputTriple", "NonlocalWitness", "RetroWitness", "StateTable",
@@ -28,21 +29,21 @@ EXPORTS = {
         "loop_universality", "parse_channel", "solve_loop",
     ],
     "model": [
-        "ALL_PERMUTATIONS", "FLAVORS", "annihilation_output", "apply_permutation", "node_admissible",
-        "production_completions",
+        "ALL_PERMUTATIONS", "EmptySupportError", "FLAVORS", "InvalidStructureError", "annihilation_output",
+        "apply_permutation", "node_admissible", "production_completions",
     ],
     "prob": [
-        "CompletionDistribution", "EmptySupportError", "completion_distribution", "epistemic_state", "marginal",
-        "signalling_score", "total_variation",
+        "CompletionDistribution", "completion_distribution", "epistemic_state", "marginal", "signalling_score",
+        "total_variation",
     ],
     "render": ["render"],
     "solver": [
         "SolveResult", "brute_force_complete", "complete", "count_completions", "has_completion", "is_admissible",
     ],
     "structure": [
-        "Endpoint", "InvalidStructureError", "ParseError", "Scenario", "Structure", "Violation", "build_chain",
-        "build_h_cell", "intervention_edges", "longest_node_path", "parse_scenario", "parse_scenario_document",
-        "reverse_time", "serialize_scenario", "validate_topology",
+        "Endpoint", "ParseError", "Scenario", "Structure", "Violation", "build_chain", "build_h_cell",
+        "intervention_edges", "longest_node_path", "parse_scenario", "parse_scenario_document", "reverse_time",
+        "serialize_scenario", "validate_topology",
     ],
 }
 
@@ -250,12 +251,28 @@ def test_each_name_is_its_module_object():
             assert getattr(helsinki, name) is getattr(source, name), name
 
 
+def test_each_exported_class_and_function_is_listed_under_the_module_that_defines_it():
+    elsewhere = []
+    for module, names in helsinki._EXPORTS.items():
+        source = importlib.import_module(f"helsinki.{module}")
+        for name in names.split():
+            value = getattr(source, name)
+            if (inspect.isclass(value) or inspect.isfunction(value)) and value.__module__ != f"helsinki.{module}":
+                elsewhere.append(f"{name} (listed under {module}, defined in {value.__module__})")
+    assert not elsewhere
+
+
+def test_naming_the_two_errors_loads_only_the_module_that_defines_them():
+    loaded = loaded_after("import helsinki\nhelsinki.InvalidStructureError\nhelsinki.EmptySupportError")
+    assert {m for m in loaded if m.startswith("helsinki.")} == {"helsinki.model"}
+
+
 def test_dir_and_star_import_offer_every_name():
     assert set(helsinki.__all__) <= set(dir(helsinki))
     namespace: dict = {}
     exec("from helsinki import *", namespace)
     assert set(helsinki.__all__) <= set(namespace)
-    assert namespace["EmptySupportError"] is helsinki.prob.EmptySupportError
+    assert namespace["EmptySupportError"] is helsinki.model.EmptySupportError
 
 
 def test_unknown_names_raise():
@@ -318,7 +335,7 @@ def test_records_keep_their_fields_and_text():
     violation = Violation("cycle", "a,b", "directed cycle through these nodes")
     assert str(violation) == "cycle [a,b]: directed cycle through these nodes"
     assert repr(violation) == "Violation(code='cycle', subject='a,b', message='directed cycle through these nodes')"
-    edge = Edge(Endpoint.at_terminal("c", "past"), Endpoint.at_port("p", "in1"))
+    edge = Edge(Endpoint(terminal="c", side="past"), Endpoint("p", "in1"))
     assert (edge.source, edge.target) == tuple(edge)
     assert helsinki.Scenario._fields == ("structure", "roles")
     assert helsinki.SolveResult._fields == ("solutions", "explored")

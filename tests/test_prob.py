@@ -165,10 +165,10 @@ def test_signalling_score_zero_for_detached_target():
     cell = build_h_cell()
     nodes = dict(cell.structure.nodes, p2="production", a2="annihilation")
     edges = dict(cell.structure.edges)
-    edges["c2"] = Edge(Endpoint.at_terminal("c2", PAST), Endpoint.at_port("p2", "in1"))
-    edges["x2"] = Edge(Endpoint.at_port("p2", "out1"), Endpoint.at_port("a2", "in1"))
-    edges["y2"] = Edge(Endpoint.at_port("p2", "out2"), Endpoint.at_port("a2", "in2"))
-    edges["z2"] = Edge(Endpoint.at_port("a2", "out1"), Endpoint.at_terminal("z2", FUTURE))
+    edges["c2"] = Edge(Endpoint(terminal="c2", side=PAST), Endpoint("p2", "in1"))
+    edges["x2"] = Edge(Endpoint("p2", "out1"), Endpoint("a2", "in1"))
+    edges["y2"] = Edge(Endpoint("p2", "out2"), Endpoint("a2", "in2"))
+    edges["z2"] = Edge(Endpoint("a2", "out1"), Endpoint(terminal="z2", side=FUTURE))
     scenario = Scenario.derive(Structure(nodes, edges))
     context = {"c_in": "A", "l_in": "B", "c2": "A"}
     assert signalling_score(scenario, "z2", "r_in", context) == ZERO

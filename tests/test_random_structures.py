@@ -68,13 +68,13 @@ def scenarios(draw, nodes=st.integers(1, 4), loose=st.booleans()):
             target = draw(st.sampled_from([None] + [(j, p) for j, p in free if j > i and kinds[j] != kinds[i]]))
             if target is not None:
                 free.remove(target)
-                target = Endpoint.at_port(names[target[0]], target[1])
-            wires.append((Endpoint.at_port(names[i], port), target))
-    wires += [(None, Endpoint.at_port(names[j], port)) for j, port in free]
+                target = Endpoint(names[target[0]], target[1])
+            wires.append((Endpoint(names[i], port), target))
+    wires += [(None, Endpoint(names[j], port)) for j, port in free]
     wires += [(None, None)] * draw(loose)
     ids = draw(st.permutations([f"e{k}" for k in range(len(wires))]))
     edges = {
-        eid: Edge(source or Endpoint.at_terminal(eid, PAST), target or Endpoint.at_terminal(eid, FUTURE))
+        eid: Edge(source or Endpoint(terminal=eid, side=PAST), target or Endpoint(terminal=eid, side=FUTURE))
         for eid, (source, target) in zip(ids, wires)
     }
     scenario = Scenario.derive(Structure(dict(zip(names, kinds)), edges))
@@ -129,7 +129,7 @@ def test_least_stranding_input_matches_enumeration_on_random_structures(structur
 @given(structures(nodes=st.integers(1, 4), loose=st.integers(1, 2)), st.data())
 def test_solutions_are_fresh_dicts_in_sorted_edge_order(structure, data):
     edges = sorted(structure.edges)
-    loose = [e for e in edges if structure.edges[e].source.is_terminal and structure.edges[e].target.is_terminal]
+    loose = [e for e in edges if all(ep.terminal is not None for ep in structure.edges[e])]
     # the first loose wire is pinned; a second one is free unless drawn among the other pins
     partial = {**data.draw(pins(structure, 2)), loose[0]: data.draw(st.sampled_from(FLAVORS))}
     before = list(partial.items())

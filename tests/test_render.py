@@ -87,7 +87,7 @@ def test_render_names_a_non_flavor_pin():
 
 def test_render_reports_invalid_structure():
     nodes = {"p": "production"}
-    edges = {"in": Edge(Endpoint.at_terminal("in", PAST), Endpoint.at_port("p", "in1"))}
+    edges = {"in": Edge(Endpoint(terminal="in", side=PAST), Endpoint("p", "in1"))}
     broken = Scenario.derive(Structure(nodes, edges))
     with pytest.raises(InvalidStructureError):
         render(broken, None, "ascii")
@@ -97,7 +97,7 @@ def test_render_reports_invalid_structure():
 def test_render_of_an_invalid_structure_raises_on_every_call(fmt):
     # the walk keeps the violations, not a verdict, so the second call sees them too
     nodes = {"p": "production"}
-    edges = {"in": Edge(Endpoint.at_terminal("in", PAST), Endpoint.at_port("p", "in1"))}
+    edges = {"in": Edge(Endpoint(terminal="in", side=PAST), Endpoint("p", "in1"))}
     broken = Scenario.derive(Structure(nodes, edges))
     for _ in range(2):
         with pytest.raises(InvalidStructureError, match="^port-unused \\[p\\]: port 'out1' has no edge; "):
@@ -117,12 +117,12 @@ def test_dot_escapes_quotes_and_backslashes_in_every_id():
         {odd(nid): kind for nid, kind in cell.nodes.items()},
         {odd(eid): Edge(moved(edge.source), moved(edge.target)) for eid, edge in cell.edges.items()},
     )
-    dot_id = {ep: f"term:{ep.side}:{ep.terminal}" if ep.is_terminal else ep.node
+    dot_id = {ep: f"term:{ep.side}:{ep.terminal}" if ep.terminal is not None else ep.node
               for edge in structure.edges.values() for ep in edge}
     assignment = {odd("c_in"): "A"}
     expected = ["monospace"]
     expected += [text for nid, kind in structure.nodes.items() for text in (nid, f"{nid}\\n{kind}")]
-    expected += [text for ep in dot_id if ep.is_terminal for text in (dot_id[ep], ep.terminal)]
+    expected += [text for ep in dot_id if ep.terminal is not None for text in (dot_id[ep], ep.terminal)]
     expected += [text for eid, (source, target) in structure.edges.items()
                  for text in (dot_id[source], dot_id[target], f"{eid}=A" if eid in assignment else eid)]
     dot = render(Scenario.derive(structure), assignment, "graph")

@@ -56,10 +56,10 @@ def diamond() -> Scenario:
     """One production feeding both inputs of one annihilation."""
     nodes = {"p": PRODUCTION, "a": ANNIHILATION}
     edges = {
-        "c": Edge(Endpoint.at_terminal("c", PAST), Endpoint.at_port("p", "in1")),
-        "x": Edge(Endpoint.at_port("p", "out1"), Endpoint.at_port("a", "in1")),
-        "y": Edge(Endpoint.at_port("p", "out2"), Endpoint.at_port("a", "in2")),
-        "z": Edge(Endpoint.at_port("a", "out1"), Endpoint.at_terminal("z", FUTURE)),
+        "c": Edge(Endpoint(terminal="c", side=PAST), Endpoint("p", "in1")),
+        "x": Edge(Endpoint("p", "out1"), Endpoint("a", "in1")),
+        "y": Edge(Endpoint("p", "out2"), Endpoint("a", "in2")),
+        "z": Edge(Endpoint("a", "out1"), Endpoint(terminal="z", side=FUTURE)),
     }
     return Scenario.derive(Structure(nodes, edges))
 
@@ -67,22 +67,22 @@ def diamond() -> Scenario:
 def wired_cell() -> Scenario:
     """The h-cell plus a past-to-future wire that no node reads."""
     cell = build_h_cell().structure
-    wire = Edge(Endpoint.at_terminal("w", PAST), Endpoint.at_terminal("w", FUTURE))
+    wire = Edge(Endpoint(terminal="w", side=PAST), Endpoint(terminal="w", side=FUTURE))
     return Scenario.derive(Structure(dict(cell.nodes), {**cell.edges, "w": wire}))
 
 
 def lone_production() -> Scenario:
     """One production from the past to the future: the layout's last step is its only step."""
     edges = {
-        "c": Edge(Endpoint.at_terminal("c", PAST), Endpoint.at_port("p", "in1")),
-        "x": Edge(Endpoint.at_port("p", "out1"), Endpoint.at_terminal("x", FUTURE)),
-        "y": Edge(Endpoint.at_port("p", "out2"), Endpoint.at_terminal("y", FUTURE)),
+        "c": Edge(Endpoint(terminal="c", side=PAST), Endpoint("p", "in1")),
+        "x": Edge(Endpoint("p", "out1"), Endpoint(terminal="x", side=FUTURE)),
+        "y": Edge(Endpoint("p", "out2"), Endpoint(terminal="y", side=FUTURE)),
     }
     return Scenario.derive(Structure({"p": PRODUCTION}, edges))
 
 
 def free_line() -> Scenario:
-    edges = {"w": Edge(Endpoint.at_terminal("w", PAST), Endpoint.at_terminal("w", FUTURE))}
+    edges = {"w": Edge(Endpoint(terminal="w", side=PAST), Endpoint(terminal="w", side=FUTURE))}
     return Scenario.derive(Structure({}, edges))
 
 
@@ -199,7 +199,7 @@ def test_has_completion_on_a_thousand_cells():
 
 def test_has_completion_does_not_spread_free_wires():
     # each wire no node reads multiplies the completions by 3
-    wire = lambda w: Edge(Endpoint.at_terminal(w, PAST), Endpoint.at_terminal(w, FUTURE))
+    wire = lambda w: Edge(Endpoint(terminal=w, side=PAST), Endpoint(terminal=w, side=FUTURE))
     assert has_completion(Structure({}, {f"w{i}": wire(f"w{i}") for i in range(40)}), {})
 
 
@@ -353,10 +353,10 @@ def test_diamond_counts():
 def cyclic() -> Structure:
     nodes = {"p": PRODUCTION, "a": ANNIHILATION}
     edges = {
-        "e1": Edge(Endpoint.at_port("p", "out1"), Endpoint.at_port("a", "in1")),
-        "e2": Edge(Endpoint.at_port("a", "out1"), Endpoint.at_port("p", "in1")),
-        "e3": Edge(Endpoint.at_terminal("e3", PAST), Endpoint.at_port("a", "in2")),
-        "e4": Edge(Endpoint.at_port("p", "out2"), Endpoint.at_terminal("e4", FUTURE)),
+        "e1": Edge(Endpoint("p", "out1"), Endpoint("a", "in1")),
+        "e2": Edge(Endpoint("a", "out1"), Endpoint("p", "in1")),
+        "e3": Edge(Endpoint(terminal="e3", side=PAST), Endpoint("a", "in2")),
+        "e4": Edge(Endpoint("p", "out2"), Endpoint(terminal="e4", side=FUTURE)),
     }
     return Structure(nodes, edges)
 

@@ -120,11 +120,11 @@ def test_chain_connector_alternates():
 def test_alternation_violation():
     nodes = {"p1": PRODUCTION, "p2": PRODUCTION}
     edges = {
-        "up": Edge(Endpoint.at_port("p1", "out1"), Endpoint.at_port("p2", "in1")),
-        "a": Edge(Endpoint.at_terminal("a", PAST), Endpoint.at_port("p1", "in1")),
-        "b": Edge(Endpoint.at_port("p1", "out2"), Endpoint.at_terminal("b", FUTURE)),
-        "c": Edge(Endpoint.at_port("p2", "out1"), Endpoint.at_terminal("c", FUTURE)),
-        "d": Edge(Endpoint.at_port("p2", "out2"), Endpoint.at_terminal("d", FUTURE)),
+        "up": Edge(Endpoint("p1", "out1"), Endpoint("p2", "in1")),
+        "a": Edge(Endpoint(terminal="a", side=PAST), Endpoint("p1", "in1")),
+        "b": Edge(Endpoint("p1", "out2"), Endpoint(terminal="b", side=FUTURE)),
+        "c": Edge(Endpoint("p2", "out1"), Endpoint(terminal="c", side=FUTURE)),
+        "d": Edge(Endpoint("p2", "out2"), Endpoint(terminal="d", side=FUTURE)),
     }
     violations = validate_topology(Structure(nodes, edges))
     assert codes(violations) == ["alternation"]
@@ -144,7 +144,7 @@ def test_missing_port_violation():
 def test_duplicate_port_violation():
     cell = build_h_cell()
     edges = dict(cell.structure.edges)
-    edges["extra"] = Edge(Endpoint.at_terminal("extra", PAST), Endpoint.at_port("prod", "in1"))
+    edges["extra"] = Edge(Endpoint(terminal="extra", side=PAST), Endpoint("prod", "in1"))
     violations = validate_topology(Structure(dict(cell.structure.nodes), edges))
     assert "port-conflict" in codes(violations)
 
@@ -152,10 +152,10 @@ def test_duplicate_port_violation():
 def test_direction_violation():
     nodes = {"p": PRODUCTION}
     edges = {
-        "in": Edge(Endpoint.at_terminal("in", PAST), Endpoint.at_port("p", "in1")),
-        "o1": Edge(Endpoint.at_port("p", "out1"), Endpoint.at_terminal("o1", FUTURE)),
+        "in": Edge(Endpoint(terminal="in", side=PAST), Endpoint("p", "in1")),
+        "o1": Edge(Endpoint("p", "out1"), Endpoint(terminal="o1", side=FUTURE)),
         # wrong way round: drawn from a future terminal into an out-port
-        "o2": Edge(Endpoint.at_terminal("o2", FUTURE), Endpoint.at_port("p", "out2")),
+        "o2": Edge(Endpoint(terminal="o2", side=FUTURE), Endpoint("p", "out2")),
     }
     violations = validate_topology(Structure(nodes, edges))
     assert "bad-direction" in codes(violations)
@@ -164,24 +164,24 @@ def test_direction_violation():
 def test_cycle_violation():
     nodes = {"p": PRODUCTION, "a": ANNIHILATION}
     edges = {
-        "e1": Edge(Endpoint.at_port("p", "out1"), Endpoint.at_port("a", "in1")),
-        "e2": Edge(Endpoint.at_port("a", "out1"), Endpoint.at_port("p", "in1")),
-        "e3": Edge(Endpoint.at_terminal("e3", PAST), Endpoint.at_port("a", "in2")),
-        "e4": Edge(Endpoint.at_port("p", "out2"), Endpoint.at_terminal("e4", FUTURE)),
+        "e1": Edge(Endpoint("p", "out1"), Endpoint("a", "in1")),
+        "e2": Edge(Endpoint("a", "out1"), Endpoint("p", "in1")),
+        "e3": Edge(Endpoint(terminal="e3", side=PAST), Endpoint("a", "in2")),
+        "e4": Edge(Endpoint("p", "out2"), Endpoint(terminal="e4", side=FUTURE)),
     }
     violations = validate_topology(Structure(nodes, edges))
     assert [v.subject for v in violations if v.code == "cycle"] == ["a,p"]
 
 
 def test_unknown_node_violation():
-    edges = {"e": Edge(Endpoint.at_port("ghost", "out1"), Endpoint.at_terminal("e", FUTURE))}
+    edges = {"e": Edge(Endpoint("ghost", "out1"), Endpoint(terminal="e", side=FUTURE))}
     violations = validate_topology(Structure({}, edges))
     assert "unknown-node" in codes(violations)
 
 
 def test_free_line_is_valid():
     # a single world-line from past to future, no interactions at all
-    edges = {"w": Edge(Endpoint.at_terminal("w", PAST), Endpoint.at_terminal("w", FUTURE))}
+    edges = {"w": Edge(Endpoint(terminal="w", side=PAST), Endpoint(terminal="w", side=FUTURE))}
     structure = Structure({}, edges)
     assert validate_topology(structure) == []
     assert derive_roles(structure) == {"w": INTERVENTION}
@@ -211,7 +211,7 @@ def test_reverse_time_kinds():
 def test_reverse_time_preserves_admissibility():
     cell = build_h_cell()
     reversed_cell = reverse_time(cell)
-    edge_ids = cell.structure.edge_ids()
+    edge_ids = sorted(cell.structure.edges)
     for combo in itertools.product(FLAVORS, repeat=len(edge_ids)):
         assignment = dict(zip(edge_ids, combo))
         assert is_admissible(cell.structure, assignment) == is_admissible(
@@ -306,7 +306,8 @@ def document(scenario, assignment=None):
     before it wrote the text directly: the oracle of the byte tests."""
 
     def endpoint(ep):
-        return {"terminal": ep.terminal, "side": ep.side} if ep.is_terminal else {"node": ep.node, "port": ep.port}
+        node, port, terminal, side = ep
+        return {"node": node, "port": port} if terminal is None else {"terminal": terminal, "side": side}
 
     doc = {
         "nodes": dict(scenario.structure.nodes),
@@ -345,7 +346,7 @@ def test_writer_escapes_ids_as_json_does(ids, flavor):
     rename = dict(zip(sorted(cell.structure.nodes) + sorted(cell.structure.edges), ids))
 
     def moved(ep):
-        return ep if ep.is_terminal else Endpoint.at_port(rename[ep.node], ep.port)
+        return ep if ep.terminal is not None else Endpoint(rename[ep.node], ep.port)
 
     structure = Structure(
         {rename[n]: kind for n, kind in cell.structure.nodes.items()},
@@ -359,19 +360,18 @@ def test_writer_escapes_ids_as_json_does(ids, flavor):
 
 
 def test_endpoints_compare_by_value():
-    assert Endpoint.at_port("p", "in1") == Endpoint(node="p", port="in1")
-    assert Endpoint.at_terminal("c", PAST) == Endpoint(terminal="c", side=PAST)
-    assert Endpoint.at_port("p", "in1") != Endpoint.at_port("p", "in2")
-    assert Endpoint.at_port("c", "in1") != Endpoint.at_terminal("c", PAST)
-    assert Endpoint.at_terminal("c", PAST).is_terminal and not Endpoint.at_port("p", "in1").is_terminal
-    assert len({Endpoint.at_port("p", "in1"), Endpoint(node="p", port="in1")}) == 1
+    assert Endpoint("p", "in1") == Endpoint(node="p", port="in1")
+    assert Endpoint(None, None, "c", PAST) == Endpoint(terminal="c", side=PAST)
+    assert Endpoint("p", "in1") != Endpoint("p", "in2")
+    assert Endpoint("c", "in1") != Endpoint(terminal="c", side=PAST)
+    assert len({Endpoint("p", "in1"), Endpoint(node="p", port="in1")}) == 1
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 @pytest.mark.parametrize("mirrored", [False, True], ids=["forward", "reversed"])
 def test_parsed_edges_and_endpoints_are_the_named_tuples(k, mirrored):
     scenario = reverse_time(build_chain(k)) if mirrored else build_chain(k)
-    assignment = {e: FLAVORS[i % 3] for i, e in enumerate(scenario.structure.edge_ids()) if i % 2}
+    assignment = {e: FLAVORS[i % 3] for i, e in enumerate(sorted(scenario.structure.edges)) if i % 2}
     parsed, pins = parse_scenario_document(serialize_scenario(scenario, assignment))
     assert parsed.structure == scenario.structure
     assert parsed.roles == scenario.roles and pins == assignment
@@ -379,7 +379,6 @@ def test_parsed_edges_and_endpoints_are_the_named_tuples(k, mirrored):
         assert type(edge) is Edge and (edge.source, edge.target) == scenario.structure.edges[eid]
         for ep, built in zip(edge, scenario.structure.edges[eid]):
             assert type(ep) is Endpoint
-            assert ep.is_terminal is built.is_terminal is (ep.terminal is not None)
             assert ep._asdict() == built._asdict()
             assert list(ep._asdict()) == ["node", "port", "terminal", "side"]
 
@@ -500,12 +499,12 @@ def test_deeply_nested_json_is_a_parse_error(text):
 def test_violation_messages():
     nodes = {"p": PRODUCTION, "q": PRODUCTION, "a": ANNIHILATION, "z": "fusion"}
     edges = {
-        "e1": Edge(Endpoint.at_terminal("e1", FUTURE), Endpoint.at_port("p", "in1")),
-        "e2": Edge(Endpoint.at_port("p", "out1"), Endpoint.at_port("q", "in1")),
-        "e3": Edge(Endpoint.at_port("p", "in2"), Endpoint.at_terminal("e3", PAST)),
-        "e4": Edge(Endpoint.at_port("ghost", "out1"), Endpoint.at_port("a", "in1")),
-        "e5": Edge(Endpoint.at_port("a", "out1"), Endpoint.at_port("p", "in1")),
-        "e6": Edge(Endpoint.at_port("q", "out1"), Endpoint.at_port("a", "out1")),
+        "e1": Edge(Endpoint(terminal="e1", side=FUTURE), Endpoint("p", "in1")),
+        "e2": Edge(Endpoint("p", "out1"), Endpoint("q", "in1")),
+        "e3": Edge(Endpoint("p", "in2"), Endpoint(terminal="e3", side=PAST)),
+        "e4": Edge(Endpoint("ghost", "out1"), Endpoint("a", "in1")),
+        "e5": Edge(Endpoint("a", "out1"), Endpoint("p", "in1")),
+        "e6": Edge(Endpoint("q", "out1"), Endpoint("a", "out1")),
     }
     assert [str(v) for v in validate_topology(Structure(nodes, edges))] == [
         "bad-kind [z]: unknown node kind 'fusion'",
@@ -530,7 +529,7 @@ def test_invalid_structure_error_message():
         parse_scenario(edited(put(["roles", "c_in"], "hidden")))
     assert str(error.value) == "role-mismatch [c_in]: declared 'hidden' but topology gives 'intervention'"
     nodes = {"p": PRODUCTION}
-    edges = {"in": Edge(Endpoint.at_terminal("in", PAST), Endpoint.at_port("p", "in1"))}
+    edges = {"in": Edge(Endpoint(terminal="in", side=PAST), Endpoint("p", "in1"))}
     with pytest.raises(InvalidStructureError) as error:
         parse_scenario(serialize_scenario(Scenario.derive(Structure(nodes, edges))))
     assert str(error.value) == "port-unused [p]: port 'out1' has no edge; port-unused [p]: port 'out2' has no edge"
