@@ -43,10 +43,9 @@ def _integer(text: str) -> int:
     return int(text)
 
 
-def _channel(text: str) -> str:
+def _channel(text: str) -> dict[str, str]:
     from .loops import parse_channel
-    parse_channel(text)
-    return text
+    return parse_channel(text)
 
 
 @contextmanager
@@ -82,7 +81,10 @@ _MAX_STRUCTURE_BYTES = 64 << 20
 
 def _load_scenario(path: str):
     from .structure import ParseError, parse_scenario_document
-    with open(path, "rb") as handle:
+    nonblocking = getattr(os, "O_NONBLOCK", 0)  # so a FIFO with no writer opens at once, and then reads as empty
+    with open(path, "rb", opener=lambda name, flags: os.open(name, flags | nonblocking)) as handle:
+        if nonblocking:  # blocking again, so a pipe whose writer is slow is still read to its end
+            os.set_blocking(handle.fileno(), True)
         data = handle.read(_MAX_STRUCTURE_BYTES + 1)
     if len(data) > _MAX_STRUCTURE_BYTES:
         raise ParseError(f"more than {_MAX_STRUCTURE_BYTES} bytes, the most a structure file may hold: {path!r}")
@@ -195,9 +197,10 @@ def _cmd_consistency(args):
 
 def _cmd_loop(args):
     from . import loops
-    solutions = loops.solve_loop(args.left, args.center, loops.parse_channel(args.channel))
+    solutions = loops.solve_loop(args.left, args.center, args.channel)
     solutions = [{**s._asdict(), "hidden": "".join(s.hidden)} for s in solutions]
-    return {"left": args.left, "center": args.center, "channel": args.channel, "solutions": solutions}, 0
+    channel = loops.channel_to_string(args.channel)
+    return {"left": args.left, "center": args.center, "channel": channel, "solutions": solutions}, 0
 
 
 def _cmd_loop_sweep(args):
@@ -209,9 +212,9 @@ def _cmd_loop_sweep(args):
 
 def _cmd_loop_exclusions(args):
     from . import loops
-    excluded = sorted(loops.loop_exclusions(args.left, args.center, loops.parse_channel(args.channel)))
-    excluded = ["".join(h) for h in excluded]
-    return {"left": args.left, "center": args.center, "channel": args.channel, "excluded": excluded}, 0
+    excluded = ["".join(h) for h in sorted(loops.loop_exclusions(args.left, args.center, args.channel))]
+    channel = loops.channel_to_string(args.channel)
+    return {"left": args.left, "center": args.center, "channel": channel, "excluded": excluded}, 0
 
 
 def _cmd_prob(args):

@@ -82,12 +82,9 @@ def loop_universality() -> LoopSweepReport:
     No feedback channel should ever shut the cell down; failures lists any
     case with zero solutions.
     """
-    failures = []
-    total = 0
-    for channel in ALL_CHANNELS:
-        for left_in in FLAVORS:
-            for center_in in FLAVORS:
-                total += 1
-                if not solve_loop(left_in, center_in, channel):
-                    failures.append((channel_to_string(channel), left_in, center_in))
-    return LoopSweepReport(total, failures)
+    failures = [
+        (channel_to_string(channel), left_in, center_in)
+        for channel in ALL_CHANNELS for left_in in FLAVORS for center_in in FLAVORS
+        if not solve_loop(left_in, center_in, channel)
+    ]
+    return LoopSweepReport(len(ALL_CHANNELS) * len(FLAVORS) ** 2, failures)

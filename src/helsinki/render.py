@@ -48,21 +48,17 @@ def _render_ascii(scenario: Scenario, walk: NodeOrder, assignment: Assignment) -
         if source is not None:
             past.append(tag)
 
-    # nodes grouped by longest-path depth from the past side; depths run
-    # 1..max with no gaps, so a depth is also its tier number
-    tiers: dict[int, list[str]] = {}
-    for nid, depth in sorted(walk.depth.items()):
-        tiers.setdefault(depth, []).append(nid)
-
     lines.append("future : " + "  ".join(future))
-    for number in sorted(tiers, reverse=True):
-        for nid in tiers[number]:
-            ports = walk.ports[nid]
-            kind = struct.nodes[nid]
-            cells = [f"tier {number} : {nid} <{kind}>"]
-            for port in PORTS[kind]:
-                cells.append(f"{port} {tags[ports[port]]}")
-            lines.append("  ".join(cells))
+    # nodes by longest-path depth from the past side, deepest first, ids
+    # ascending within a depth; depths run 1..max with no gaps, so a depth
+    # is also its tier number
+    for nid, number in sorted(walk.depth.items(), key=lambda item: (-item[1], item[0])):
+        ports = walk.ports[nid]
+        kind = struct.nodes[nid]
+        cells = [f"tier {number} : {nid} <{kind}>"]
+        for port in PORTS[kind]:
+            cells.append(f"{port} {tags[ports[port]]}")
+        lines.append("  ".join(cells))
     lines.append("past   : " + "  ".join(past))
     return "\n".join(lines) + "\n"
 

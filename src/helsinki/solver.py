@@ -209,7 +209,8 @@ def _pins(layout: _Layout, partial: Assignment) -> dict[str, Optional[str]]:
 
 def _walk(steps: Sequence[tuple], pin: dict[str, Optional[str]], limit: Optional[int] = None) -> tuple[list, int]:
     """Depth-first over a layout's moves: the solutions (copies of `pin`,
-    at most `limit`, unsorted) and the moves examined.
+    unsorted) and the moves examined. With a `limit`, it stops once it
+    holds `limit` solutions.
 
     `pin` is also the running assignment: each step writes its filling into
     it at its edges. That is sound only because every step's pins are read
@@ -248,7 +249,6 @@ def _walk(steps: Sequence[tuple], pin: dict[str, Optional[str]], limit: Optional
             for (pin[a], pin[b], pin[c], _), _ in moves:
                 solutions.append(pin.copy())
             if limit and len(solutions) >= limit:
-                del solutions[limit:]
                 break
         # the last step or a dead end: resume at the latest open branch point
         while stack:

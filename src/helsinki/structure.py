@@ -272,20 +272,6 @@ def validate_topology(structure: Structure) -> list[Violation]:
     return list(node_order(structure).violations)
 
 
-def derive_roles(structure: Structure) -> dict[str, str]:
-    """Role of each edge from its anchoring: past terminal -> intervention,
-    future terminal -> observation, node-to-node -> hidden.
-
-    An edge running terminal-to-terminal is controllable, so it counts as
-    an intervention.
-    """
-    roles = {}
-    for eid in sorted(structure.edges):
-        (_, _, source, _), (_, _, target, _) = structure.edges[eid]  # the terminal of each end
-        roles[eid] = INTERVENTION if source is not None else OBSERVATION if target is not None else HIDDEN
-    return roles
-
-
 class Scenario(NamedTuple):
     """A structure plus the intervention/observation/hidden reading of it."""
 
@@ -294,7 +280,18 @@ class Scenario(NamedTuple):
 
     @staticmethod
     def derive(structure: Structure) -> "Scenario":
-        return Scenario(structure, derive_roles(structure))
+        """The scenario whose roles, in sorted edge order, follow from each
+        edge's anchoring: past terminal -> intervention, future terminal ->
+        observation, node-to-node -> hidden.
+
+        A terminal-to-terminal edge is controllable, so it is an
+        intervention.
+        """
+        roles = {}
+        for eid in sorted(structure.edges):
+            (_, _, source, _), (_, _, target, _) = structure.edges[eid]  # the terminal of each end
+            roles[eid] = INTERVENTION if source is not None else OBSERVATION if target is not None else HIDDEN
+        return Scenario(structure, roles)
 
 
 def intervention_edges(scenario: Scenario) -> list[str]:
@@ -447,11 +444,10 @@ def parse_scenario_document(text: str) -> tuple[Scenario, Optional[dict[str, str
             raise ParseError(f"edges[{eid!r}]: needs exactly the fields 'from' and 'to'")
         edges[eid] = _new(Edge, (read(body["from"], eid, "from"), read(body["to"], eid, "to")))
 
-    structure = Structure(nodes, edges)
-    violations = validate_topology(structure)
-    roles = derive_roles(structure)
+    scenario = Scenario.derive(Structure(nodes, edges))
+    violations = validate_topology(scenario.structure)
 
-    if "roles" in doc and doc["roles"] != roles:  # declared roles equal to the derived ones pass every check below
+    if "roles" in doc and doc["roles"] != scenario.roles:  # roles equal to the derived ones pass every check below
         declared = doc["roles"]
         if not isinstance(declared, dict):
             raise ParseError("'roles' must map edge ids to roles")
@@ -460,13 +456,12 @@ def parse_scenario_document(text: str) -> tuple[Scenario, Optional[dict[str, str
                 raise ParseError(f"roles[{eid!r}]: unknown role {role!r}")
             if eid not in edges:
                 raise ParseError(f"roles[{eid!r}]: no such edge")
-        for eid in sorted(edges):
+        for eid, given in scenario.roles.items():  # in sorted edge order
             if eid not in declared:
                 raise ParseError(f"roles: missing entry for edge {eid!r}")
-            if declared[eid] != roles[eid]:
-                violations.append(
-                    Violation("role-mismatch", eid, f"declared {declared[eid]!r} but topology gives {roles[eid]!r}")
-                )
+            if declared[eid] != given:
+                message = f"declared {declared[eid]!r} but topology gives {given!r}"
+                violations.append(Violation("role-mismatch", eid, message))
 
     assignment: Optional[dict[str, str]] = None
     if "assignment" in doc:
@@ -482,7 +477,7 @@ def parse_scenario_document(text: str) -> tuple[Scenario, Optional[dict[str, str
 
     if violations:
         raise InvalidStructureError(violations)
-    return Scenario(structure, roles), assignment
+    return scenario, assignment
 
 
 def parse_scenario(text: str) -> Scenario:

@@ -169,6 +169,14 @@ def test_loop_exclusions_constant_channel():
     assert result.payload["excluded"] == ["AA"]
 
 
+@pytest.mark.parametrize("command", ["loop", "loop-exclusions"])
+@pytest.mark.parametrize("spelling", [["--channel", "ACB"], ["--channel=ACB"]])
+def test_loop_payloads_carry_the_channel_flag_text(command, spelling, capsys):
+    # the plain spelling is read from the flag table, `--channel=ACB` by argparse
+    assert run(["--output", "json", command, "--left", "A", "--center", "A", *spelling]).exit_code == 0
+    assert payload_of(capsys)["channel"] == "ACB"
+
+
 def test_loop_sweep():
     result = run(["loop-sweep"])
     assert result.exit_code == 0
@@ -613,6 +621,21 @@ def test_a_structure_file_with_no_end_is_a_parse_error_within_bounded_memory():
     assert (proc.returncode, proc.stdout) == (2, "")
     limit = cli._MAX_STRUCTURE_BYTES
     assert proc.stderr == f"error: more than {limit} bytes, the most a structure file may hold: '/dev/zero'\n"
+
+
+def test_a_fifo_with_no_writer_reads_as_empty_and_is_a_parse_error(tmp_path):
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no os.mkfifo")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "helsinki.cli", "solve", "--structure", str(fifo)],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_malformed_json_is_usage_error(tmp_path):

@@ -14,6 +14,7 @@ from helsinki.structure import (
     Structure,
     build_chain,
     build_h_cell,
+    reverse_time,
 )
 
 CELL_TOTAL = {
@@ -41,6 +42,20 @@ def test_ascii_chain_two_shows_alternating_nodes():
         ("prod.2", "production"), ("ann_l.2", "annihilation"), ("ann_r.2", "annihilation"),
     ]:
         assert f"{node} <{kind}>" in art
+
+
+def test_ascii_tiers_run_deepest_first_then_by_node_id():
+    # the deepest node, prod.1, sorts after shallower ids, and tier 1 holds three nodes
+    art = render(reverse_time(build_chain(2)), None, "ascii")
+    tiers = [line.split("  ")[0] for line in art.splitlines() if line.startswith("tier ")]
+    assert tiers == [
+        "tier 4 : prod.1 <annihilation>",
+        "tier 3 : ann_r.1 <production>",
+        "tier 2 : prod.2 <annihilation>",
+        "tier 1 : ann_l.1 <production>",
+        "tier 1 : ann_l.2 <production>",
+        "tier 1 : ann_r.2 <production>",
+    ]
 
 
 def test_ascii_deterministic():

@@ -23,7 +23,6 @@ from helsinki.structure import (
     Violation,
     build_chain,
     build_h_cell,
-    derive_roles,
     intervention_edges,
     longest_node_path,
     parse_scenario,
@@ -184,7 +183,7 @@ def test_free_line_is_valid():
     edges = {"w": Edge(Endpoint(terminal="w", side=PAST), Endpoint(terminal="w", side=FUTURE))}
     structure = Structure({}, edges)
     assert validate_topology(structure) == []
-    assert derive_roles(structure) == {"w": INTERVENTION}
+    assert Scenario.derive(structure).roles == {"w": INTERVENTION}
 
 
 # --- time reversal ---
