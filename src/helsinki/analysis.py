@@ -231,21 +231,23 @@ def nonlocality_witnesses() -> list[NonlocalWitness]:
     return witnesses
 
 
-def check_all_inputs(scenario: Scenario, family: str = "scenario") -> ConsistencyReport:
+def check_all_inputs(scenario: Scenario) -> ConsistencyReport:
     """Verify every total intervention assignment admits a completion.
 
     Assignments are ranked lexicographically over the sorted edges: the
     counterexample is the least one and `checked` its rank, else all 3^n.
     One `least_stranding_input` pass decides every input and finds the least.
+    The report's family is "scenario", for a caller to relabel. Raises
+    InvalidStructureError for a structure that does not validate.
     """
     from .solver import least_stranding_input
     from .structure import intervention_edges
     structure, edges = scenario.structure, intervention_edges(scenario)
     inputs = least_stranding_input(structure, {}, edges)
     if inputs is None:
-        return ConsistencyReport(family, None, 3 ** len(edges), None)
+        return ConsistencyReport("scenario", None, 3 ** len(edges), None)
     rank = functools.reduce(lambda r, e: 3 * r + FLAVORS.index(inputs[e]), edges, 0)
-    return ConsistencyReport(family, None, rank + 1, (scenario, inputs))
+    return ConsistencyReport("scenario", None, rank + 1, (scenario, inputs))
 
 
 def consistency_sweep(max_cells: int) -> ConsistencyReport:

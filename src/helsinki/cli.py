@@ -86,15 +86,18 @@ def _load_scenario(path: str):
         if nonblocking:  # blocking again, so a pipe whose writer is slow is still read to its end
             os.set_blocking(handle.fileno(), True)
         data = handle.read(_MAX_STRUCTURE_BYTES + 1)
-    if len(data) > _MAX_STRUCTURE_BYTES:
-        raise ParseError(f"more than {_MAX_STRUCTURE_BYTES} bytes, the most a structure file may hold: {path!r}")
-    try:
-        text = data.decode("utf-8")  # one decode of the whole file, so the offset is the file's
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}: {path!r}") from None
-    if "\r" in text:  # text mode's newline translation, so JSON errors keep their line and column
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    scenario, embedded = parse_scenario_document(text)
+    try:  # every parse error names the file
+        if len(data) > _MAX_STRUCTURE_BYTES:
+            raise ParseError(f"more than {_MAX_STRUCTURE_BYTES} bytes, the most a structure file may hold")
+        try:
+            text = data.decode("utf-8")  # one decode of the whole file, so the offset is the file's
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+        if "\r" in text:  # text mode's newline translation, so JSON errors keep their line and column
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        scenario, embedded = parse_scenario_document(text)
+    except ParseError as exc:
+        raise ParseError(f"{exc}: {path!r}") from None
     return scenario, embedded or {}
 
 
@@ -178,7 +181,7 @@ def _cmd_consistency(args):
     from . import analysis
     if args.structure is not None:
         scenario, _ = _load_scenario(args.structure)
-        report = analysis.check_all_inputs(scenario, family=f"file:{args.structure}")
+        report = analysis.check_all_inputs(scenario)._replace(family=f"file:{args.structure}")
     elif args.max_cells < 1:
         raise ValueError(f"--max-cells must be at least 1, got {args.max_cells}")
     else:

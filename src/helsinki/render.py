@@ -9,17 +9,17 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .model import FORMATS, HIDDEN, INTERVENTION, PRODUCTION, Assignment, InvalidStructureError, check_partial
+from .model import FORMATS, HIDDEN, INTERVENTION, PRODUCTION, Assignment, check_partial
 from .structure import FUTURE, PAST, PORTS, NodeOrder, Scenario, node_order
 
 
 def render(scenario: Scenario, assignment: Optional[Assignment] = None, fmt: str = "ascii") -> str:
-    """Render a scenario, with flavors from an optional partial assignment."""
+    """Render a scenario, with flavors from an optional partial assignment.
+
+    Raises InvalidStructureError for a structure that does not validate."""
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {fmt!r}")
     walk = node_order(scenario.structure)
-    if walk.violations:
-        raise InvalidStructureError(walk.violations)
     assignment = assignment or {}
     check_partial(scenario.structure.edges, assignment)
     if fmt == "graph":

@@ -40,8 +40,9 @@ reaching it, so the count is exact and its time is linear in the number
 of nodes times the frontier size. `least_stranding_input` runs the same
 tables over sets of frontiers, each with the least choice of some edges
 reaching it, to find the least choice that leaves no completion in one
-pass. Structures are assumed to satisfy `validate_topology`; builders and
-the file parser only hand over valid ones.
+pass. Every route here, the oracle too, reads the structure through
+`node_order`, so each refuses a structure that fails `validate_topology`
+with InvalidStructureError and its report, and none compiles one.
 """
 
 from __future__ import annotations
@@ -146,7 +147,8 @@ _moves = functools.lru_cache(maxsize=None)(_Moves)
 
 
 def _compile(structure: Structure) -> _Layout:
-    """The frontier layout, straight from `structure.node_order`.
+    """The frontier layout, straight from `structure.node_order`, which
+    refuses a structure that does not validate, so every node is ordered.
 
     Nodes are counted one at a time, each next the one with the most edges
     to counted nodes (ties in topological order), so a chain is counted
@@ -159,8 +161,6 @@ def _compile(structure: Structure) -> _Layout:
     topological: it is chosen to keep the frontier narrow.
     """
     walk = node_order(structure)
-    if len(walk.order) < len(structure.nodes):
-        raise ValueError("structure contains a directed cycle; validate it first")
     edges = [tuple(walk.ports[nid].values()) for nid in walk.order]
     touching: dict[str, list[int]] = {}
     for k, incident in enumerate(edges):

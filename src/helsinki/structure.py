@@ -13,6 +13,13 @@ kept on the object itself (`memo`), so a structure must not be mutated
 after its first validate, render or search: build a new one instead. A
 copy or a pickle round trip starts with nothing derived.
 
+Every reader of a structure's graph (the searches, the brute-force
+oracle, path depth, rendering, time reversal) goes through `node_order`,
+which refuses a structure that breaks the composition rules with
+InvalidStructureError and its full report. Only `validate_topology`
+reports the violations instead, and building a Scenario, serializing it
+and parsing a document work on any structure.
+
 An endpoint is built by its constructor, `Endpoint(node, port)` or
 `Endpoint(terminal=name, side=side)`, and read by unpacking it as
 `(node, port, terminal, side)`; it is a terminal exactly when `terminal`
@@ -256,9 +263,17 @@ def _walk(structure: Structure) -> NodeOrder:
 
 
 def node_order(structure: Structure) -> NodeOrder:
-    """The one walk over a structure's graph, made once per object;
-    validation, the solver layout, path depth and rendering all read it."""
-    return memo(structure, _walk)
+    """The one walk over a structure's graph, made once per object; the
+    solver, its oracle, path depth and rendering all read it.
+
+    Raises InvalidStructureError, carrying the full violation report, for a
+    structure that does not validate; the walk is kept all the same, so it
+    is made once and every later call raises again.
+    """
+    walk = memo(structure, _walk)
+    if walk.violations:
+        raise InvalidStructureError(walk.violations)
+    return walk
 
 
 def validate_topology(structure: Structure) -> list[Violation]:
@@ -267,9 +282,10 @@ def validate_topology(structure: Structure) -> list[Violation]:
     Checks node kinds, port existence, exactly-once port coverage, edge
     direction (sources leave out-ports or the past, targets enter in-ports
     or the future), acyclicity, and the production/annihilation alternation
-    rule on internal edges. The list is the caller's own.
+    rule on internal edges. The list is the caller's own. The one reader
+    that reports a violation instead of refusing the structure.
     """
-    return list(node_order(structure).violations)
+    return list(memo(structure, _walk).violations)
 
 
 class Scenario(NamedTuple):
@@ -351,7 +367,8 @@ def reverse_time(scenario: Scenario) -> Scenario:
 
     Each port trades places with its mirror (in1 <-> out1, in2 <-> out2),
     so a production read backwards is an annihilation and vice versa.
-    Roles are recomputed from the flipped topology. Involutive.
+    Roles are recomputed from the flipped topology. Involutive. Raises
+    InvalidStructureError for a structure that does not validate.
     """
 
     def mirror(ep: Endpoint) -> Endpoint:
@@ -361,6 +378,7 @@ def reverse_time(scenario: Scenario) -> Scenario:
         return Endpoint(node, _MIRROR_PORT[port])
 
     struct = scenario.structure
+    node_order(struct)  # refuses, with the report, a structure whose ports, sides or kinds have no mirror
     nodes = {nid: _FLIP_KIND[kind] for nid, kind in struct.nodes.items()}
     edges = {eid: Edge(mirror(e.target), mirror(e.source)) for eid, e in struct.edges.items()}
     return Scenario.derive(Structure(nodes, edges))

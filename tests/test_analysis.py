@@ -286,8 +286,8 @@ def test_consistency_sweep_rejects_zero():
 
 
 def test_check_all_inputs_on_cell():
-    report = check_all_inputs(build_h_cell(), family="cell")
-    assert report.family == "cell"
+    report = check_all_inputs(build_h_cell())
+    assert report.family == "scenario"
     assert report.checked == 27
     assert report.counterexample is None
 
@@ -323,7 +323,7 @@ def test_least_counterexample_of_a_relabelled_cell():
     # makes the left annihilation homogeneous next to it, whatever r_in is
     cell = build_h_cell()
     scenario = Scenario(cell.structure, {**cell.roles, "h_left": INTERVENTION})
-    report = check_all_inputs(scenario, family="cell")
+    report = check_all_inputs(scenario)
     assert report.checked == 1
     assert report.counterexample == (scenario, {"c_in": "A", "h_left": "A", "l_in": "A", "r_in": "A"})
 

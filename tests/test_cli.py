@@ -591,8 +591,8 @@ def test_json_errors_count_lines_across_every_newline(newline, tmp_path, capsys)
     path = tmp_path / "lines.json"
     path.write_bytes(b"{" + newline * 2 + b"  x}")
     assert run(["solve", "--structure", str(path)]).exit_code == 2
-    expected = "error: invalid JSON at line 3, column 3: Expecting property name enclosed in double quotes\n"
-    assert capsys.readouterr().err == expected
+    expected = "error: invalid JSON at line 3, column 3: Expecting property name enclosed in double quotes"
+    assert capsys.readouterr().err == f"{expected}: {str(path)!r}\n"
 
 
 def test_a_structure_file_over_the_size_limit_is_a_parse_error(monkeypatch, tmp_path, capsys):
@@ -600,7 +600,7 @@ def test_a_structure_file_over_the_size_limit_is_a_parse_error(monkeypatch, tmp_
     path = tmp_path / "big.json"
     path.write_bytes(b'{"x": 123}')  # 10 bytes: read in full
     assert run(["solve", "--structure", str(path)]).exit_code == 2
-    assert capsys.readouterr().err == "error: missing required field 'nodes'\n"
+    assert capsys.readouterr().err == f"error: missing required field 'nodes': {str(path)!r}\n"
     path.write_bytes(b'{"x": 1234}')
     assert run(["solve", "--structure", str(path)]).exit_code == 2
     assert capsys.readouterr().err == f"error: more than 10 bytes, the most a structure file may hold: {str(path)!r}\n"
@@ -635,7 +635,7 @@ def test_a_fifo_with_no_writer_reads_as_empty_and_is_a_parse_error(tmp_path):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith(f": {str(fifo)!r}")
 
 
 def test_malformed_json_is_usage_error(tmp_path):

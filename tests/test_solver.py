@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from helsinki import solver, structure as structure_module
 from helsinki.analysis import check_all_inputs
-from helsinki.model import ALL_PERMUTATIONS, ANNIHILATION, FLAVORS, PRODUCTION, apply_permutation
+from helsinki.model import ALL_PERMUTATIONS, ANNIHILATION, FLAVORS, PRODUCTION, InvalidStructureError, apply_permutation
 from helsinki.render import render
 from helsinki.solver import (
     brute_force_complete,
@@ -31,6 +31,7 @@ from helsinki.structure import (
     Structure,
     build_chain,
     build_h_cell,
+    longest_node_path,
     memo,
     reverse_time,
     validate_topology,
@@ -485,8 +486,61 @@ def test_counting_layout_is_compiled_once(monkeypatch):
 def test_cyclic_structure_raises_on_every_call(search):
     structure = cyclic()
     for _ in range(2):
-        with pytest.raises(ValueError, match="cycle"):
+        with pytest.raises(InvalidStructureError, match="cycle"):
             search(structure, {})
+    assert solver._compile not in structure._derived
+
+
+def broken_cell(change) -> Structure:
+    """The plain cell's structure with `change(nodes, edges)` applied to fresh copies of its maps."""
+    cell = build_h_cell().structure
+    nodes, edges = dict(cell.nodes), dict(cell.edges)
+    change(nodes, edges)
+    return Structure(nodes, edges)
+
+
+INVALID_CELLS = {
+    "missing port": lambda nodes, edges: edges.pop("r_out"),
+    "node with no edges": lambda nodes, edges: nodes.update(lone=PRODUCTION),
+    "alternation break": lambda nodes, edges: nodes.update(prod=ANNIHILATION),
+    "edge to a missing node": lambda nodes, edges: edges.update(h_left=Edge(Endpoint("prod", "out1"),
+                                                                             Endpoint("ghost", "in1"))),
+    # `r_out` turned back into the production's input: every port is used once, but prod -> ann_r -> prod
+    "cycle": lambda nodes, edges: edges.update(c_in=edges.pop("r_out")._replace(target=Endpoint("prod", "in1"))),
+    # inputs `reverse_time` has no mirror for
+    "port in3": lambda nodes, edges: edges.update(c_in=Edge(Endpoint(terminal="c_in", side=PAST),
+                                                            Endpoint("prod", "in3"))),
+    "side sideways": lambda nodes, edges: edges.update(c_in=Edge(Endpoint(terminal="c_in", side="sideways"),
+                                                                 Endpoint("prod", "in1"))),
+    "kind quark": lambda nodes, edges: nodes.update(prod="quark"),
+}
+
+#: every reader of a structure's graph, as a call on the structure
+READERS = {
+    "complete": lambda s: complete(s, {}),
+    "has_completion": lambda s: has_completion(s, {}),
+    "count_completions": lambda s: count_completions(s, {}),
+    "least_stranding_input": lambda s: least_stranding_input(s, {}, sorted(s.edges)),
+    "check_all_inputs": lambda s: check_all_inputs(Scenario.derive(s)),
+    "is_admissible": lambda s: is_admissible(s, dict.fromkeys(s.edges, "A")),
+    "brute_force_complete": lambda s: brute_force_complete(s, {}),
+    "longest_node_path": longest_node_path,
+    "render": lambda s: render(Scenario.derive(s)),
+    "reverse_time": lambda s: reverse_time(Scenario.derive(s)),
+}
+
+
+@pytest.mark.parametrize("change", INVALID_CELLS.values(), ids=INVALID_CELLS)
+def test_every_reader_refuses_an_invalid_structure_with_its_report(change):
+    structure = broken_cell(change)
+    violations = validate_topology(structure)
+    assert violations
+    for name, read in READERS.items():
+        for _ in range(2):  # the walk is kept, and each call raises again
+            with pytest.raises(InvalidStructureError) as caught:
+                read(structure)
+            assert caught.value.violations == violations, name
+    assert validate_topology(structure) == violations
     assert solver._compile not in structure._derived
 
 
