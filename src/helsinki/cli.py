@@ -395,7 +395,8 @@ _COMMANDS = {
              (*_TRIPLE, _flag("--marginal", str, False, "reduce to the flavor distribution at EDGE", "EDGE"))),
     "signal": (_cmd_signal, "dependence of an output marginal on a remote input", (
         _flag("--target", str, True, "observation edge to read"),
-        _flag("--remote", str, True, "intervention edge to vary: r_in, as --left and --center pin l_in and c_in"),
+        _flag("--remote", str, False, "intervention edge to vary: r_in, the default, as --left and --center pin "
+              "l_in and c_in", default="r_in"),
         _flag("--left", check_flavor, True, "pinned left wing input"),
         _flag("--center", check_flavor, True, "pinned center input"))),
     "epistemic": (_cmd_epistemic, "hidden-state weights before wing settings are fixed", (

@@ -30,11 +30,18 @@ layout's blank assignment in sorted edge order. All four searches read
 those tables. `complete` and `has_completion` walk them depth-first with
 an explicit stack of open branch points, so no recursion limit bounds the
 depth, and write each filling into that same pin dict once every pin is
-read; each solution of `complete` is a copy of it. Each move of the last
-step is a solution, so one loop, with no branch point, writes and copies
-each. A branch point left without a solution marks its (node, frontier)
-dead, and no later path enters it again, so a dead end costs once.
-`explored` counts the moves the walk examines. `count_completions` never
+read; each solution of `complete` is a copy of it. A node is free when no
+edge of it stays live, so no later node reads it (on chain:K every left
+annihilation and the last node): all its moves lead to the same frontier,
+and so to the same solutions below it, a decomposable factor. The walk
+goes below its first move only, and copies each solution found there once
+per other move, with the node's edges refilled. The last step is that
+rule with nothing below: one loop, with no branch point, writes and copies
+each of its moves. A branch point left without a solution marks its
+(node, frontier) dead, and no later path enters it again, so a dead end
+costs once. `explored` counts the moves the walk examines; below a free
+node each is counted once per path through the other nodes, not once per
+filling of the free node. `count_completions` never
 enumerates: it keeps, per frontier, the number of partial assignments
 reaching it, so the count is exact and its time is linear in the number
 of nodes times the frontier size. `least_stranding_input` runs the same
@@ -60,9 +67,12 @@ from .structure import Structure, memo, node_order
 class SolveResult(NamedTuple):
     """Canonically ordered solutions plus a search-effort counter.
 
-    `explored` counts the moves a full search examines: every admissible
-    filling of each node it reaches, given the values before it; it is
-    deterministic for a given structure and partial.
+    `explored` counts the moves the walk examines: every admissible filling
+    of each node it reaches, given the values before it. Below a free node
+    (one no later node reads) each move is counted once per path through the
+    other nodes, since the walk goes below one filling of the free node only
+    and copies what it finds for the others. It is deterministic for a given
+    structure and partial.
     """
 
     solutions: list[Assignment]
@@ -135,6 +145,9 @@ class _Layout(NamedTuple):
     #: per node, in narrow order: its edge ids, a getter for their pins,
     #: and its moves table (one table for the nodes read alike)
     steps: tuple[tuple[tuple[str, ...], Callable[[dict], tuple], _Moves], ...]
+    #: per step, whether it is free: no edge of it stays live, so all its
+    #: moves lead to one next frontier
+    free: tuple[bool, ...]
     #: the sorted edges no node reads, which `_compile` finds as those its
     #: `touching` map lacks: a factor of 3 each unless pinned
     loose: tuple[str, ...]
@@ -157,8 +170,10 @@ def _compile(structure: Structure) -> _Layout:
     counted node gave it. A node reads its edges (from the frontier, else
     the pins), appends a filling and projects onto what stays live: the
     frontier edges it did not read and its own edges to uncounted nodes.
-    The node rule and the ban are symmetric, so the order need not be
-    topological: it is chosen to keep the frontier narrow.
+    A node none of whose edges stays live is marked free: the next frontier
+    is then the same for all its fillings. The node rule and the ban are
+    symmetric, so the order need not be topological: it is chosen to keep
+    the frontier narrow.
     """
     walk = node_order(structure)
     edges = [tuple(walk.ports[nid].values()) for nid in walk.order]
@@ -170,7 +185,7 @@ def _compile(structure: Structure) -> _Layout:
     links: list[Optional[int]] = [0] * len(edges)  # edges to counted nodes; None once counted
     heap = [(0, k) for k in range(len(edges))]
     frontier: list[str] = []
-    steps = []
+    steps, free_steps = [], []
     while heap:
         negative, k = heapq.heappop(heap)
         if links[k] != -negative:
@@ -181,33 +196,46 @@ def _compile(structure: Structure) -> _Layout:
         reads = tuple(frontier.index(e) if e in frontier else len(frontier) + i for i, e in enumerate(incident))
         project = [j for j, e in enumerate(frontier) if e not in incident]
         live = [frontier[j] for j in project]
+        free = True  # no edge of the node stays live
         for i, e in enumerate(incident):
             uncounted = [m for m in touching[e] if links[m] is not None]
             if uncounted:
                 # past the frontier, skip the 3 pins to the value given
                 project.append(len(frontier) + 3 + i)
                 live.append(e)
+                free = False
             for m in uncounted:
                 links[m] += 1
                 heapq.heappush(heap, (-links[m], m))
         steps.append((incident, itemgetter(*incident), _moves(reads, tuple(project))))
+        free_steps.append(free)
         frontier = live
-    return _Layout(dict.fromkeys(walk.edges), tuple(steps), tuple(e for e in walk.edges if e not in touching))
+    return _Layout(dict.fromkeys(walk.edges), tuple(steps), tuple(free_steps),
+                   tuple(e for e in walk.edges if e not in touching))
+
+
+#: the flavors, for a set test of a partial's values
+_FLAVOR_SET = frozenset(FLAVORS)
 
 
 def _pins(layout: _Layout, partial: Assignment) -> dict[str, Optional[str]]:
-    """The partial as a flavor (or None) per edge id, in sorted edge order,
-    checked against the layout's edges in the same pass; a bad entry hands
-    the whole partial to `check_partial`, which names every bad entry."""
+    """The partial as a flavor (or None) per edge id, in sorted edge order.
+    Its keys and values are each checked in one pass; a bad entry (an
+    unhashable value too) hands the whole partial to `check_partial`, which
+    names every bad entry."""
     pin = layout.blank.copy()
-    for eid, flavor in partial.items():
-        if eid not in pin or flavor not in FLAVORS:
-            check_partial(pin, partial)
-        pin[eid] = flavor
+    try:
+        ok = partial.keys() <= pin.keys() and _FLAVOR_SET.issuperset(partial.values())
+    except TypeError:
+        ok = False
+    if not ok:
+        check_partial(pin, partial)
+    pin.update(partial)
     return pin
 
 
-def _walk(steps: Sequence[tuple], pin: dict[str, Optional[str]], limit: Optional[int] = None) -> tuple[list, int]:
+def _walk(steps: Sequence[tuple], free: Sequence[bool], pin: dict[str, Optional[str]],
+          limit: Optional[int] = None) -> tuple[list, int]:
     """Depth-first over a layout's moves: the solutions (copies of `pin`,
     unsorted) and the moves examined. With a `limit`, it stops once it
     holds `limit` solutions.
@@ -219,6 +247,11 @@ def _walk(steps: Sequence[tuple], pin: dict[str, Optional[str]], limit: Optional
     Only an earlier step with a choice opens a branch point. One closed
     without a solution marks its (step, frontier) dead: the frontier alone
     decides what the later steps admit, so no later path enters it again.
+    A free step's edges are in no later frontier, so every one of its moves
+    leads to the same steps below: the walk goes down its first move only,
+    and when it is back at that branch point it copies each solution found
+    since, once per other move, with the step's edges overwritten by that
+    move's filling. The last step is the same rule with nothing below.
     """
     if not steps:
         return [pin.copy()], 0
@@ -239,7 +272,8 @@ def _walk(steps: Sequence[tuple], pin: dict[str, Optional[str]], limit: Optional
             if n != 1:
                 if not n or dead and (s, frontier) in dead:
                     break
-                stack.append((s, frontier, moves, 1, len(solutions)))
+                # a free step has no move to try again
+                stack.append((s, frontier, moves, n if free[s] else 1, len(solutions)))
             (pin[a], pin[b], pin[c], _), frontier = moves[0]
             s += 1
         else:
@@ -256,8 +290,16 @@ def _walk(steps: Sequence[tuple], pin: dict[str, Optional[str]], limit: Optional
             if k < len(moves):
                 stack.append((s, entered, moves, k + 1, before))
                 break
-            if len(solutions) == before:
+            found = len(solutions)
+            if found == before:
                 dead.add((s, entered))
+            elif free[s]:
+                (a, b, c), _, _ = steps[s]
+                for (x, y, z, _), _ in moves[1:]:
+                    for i in range(before, found):
+                        solution = solutions[i].copy()
+                        solution[a], solution[b], solution[c] = x, y, z
+                        solutions.append(solution)
         else:
             break
         (a, b, c), _, _ = steps[s]
@@ -274,7 +316,7 @@ def complete(structure: Structure, partial: Assignment) -> SolveResult:
     inputs admit nothing."""
     layout = memo(structure, _compile)
     pin = _pins(layout, partial)
-    solutions, explored = _walk(layout.steps, pin)
+    solutions, explored = _walk(layout.steps, layout.free, pin)
     for e in layout.loose:
         if pin[e] is None:  # no step writes a loose edge
             solutions = [{**s, e: f} for s in solutions for f in FLAVORS]
@@ -288,7 +330,7 @@ def complete(structure: Structure, partial: Assignment) -> SolveResult:
 def has_completion(structure: Structure, partial: Assignment) -> bool:
     """Whether at least one admissible completion exists (early exit)."""
     layout = memo(structure, _compile)
-    solutions, _ = _walk(layout.steps, _pins(layout, partial), limit=1)
+    solutions, _ = _walk(layout.steps, layout.free, _pins(layout, partial), limit=1)
     return bool(solutions)
 
 

@@ -203,9 +203,27 @@ def test_signal():
     assert result.payload["score"] == "1/3"
 
 
-def test_signal_rejects_remote_collision():
-    result = run(["signal", "--target", "l_out", "--remote", "l_in", "--left", "B", "--center", "A"])
+@pytest.mark.parametrize("remote", ["l_in", "c_in"])
+def test_signal_rejects_remote_collision(remote):
+    result = run(["signal", "--target", "l_out", "--remote", remote, "--left", "B", "--center", "A"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("output", ["json", "text"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--target", "l_out", "--left", "B", "--center", "A"],
+        ["--target=l_out", "--left=B", "--center=A"],  # argparse only
+    ],
+    ids=["plain", "argparse"],
+)
+def test_signal_varies_r_in_by_default(flags, output, capsys):
+    assert (cli._plain_args(["signal", *flags]) is None) == any("=" in flag for flag in flags)
+    assert run(["--output", output, "signal", *flags]).exit_code == 0
+    default = capsys.readouterr()
+    assert run(["--output", output, "signal", "--remote", "r_in", *flags]).exit_code == 0
+    assert capsys.readouterr() == default and "1/3" in default.out
 
 
 def test_epistemic():

@@ -27,6 +27,7 @@ SHAPES = [
     ["prob", "--left", "B", "--center", "A", "--right", "A", "--marginal", "l_out"],
     ["signal", "--target", "l_out", "--remote", "r_in", "--left", "B", "--center", "A"],
     ["signal", "--target", "l_out", "--remote", "l_in", "--left", "A", "--center", "A"],
+    ["signal", "--target", "l_out", "--left", "B", "--center", "A"],
     ["epistemic", "--center", "A"], ["epistemic", "--center", "A", "--l-in", "B"],
     ["epistemic", "--center", "C", "--r-in", "A"], ["epistemic", "--center", "A", "--l-in", "B", "--r-in", "C"],
     ["solve", "--structure", FILE], ["solve", "--structure", FILE, "--count-only"],

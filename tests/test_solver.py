@@ -33,6 +33,7 @@ from helsinki.structure import (
     build_h_cell,
     longest_node_path,
     memo,
+    node_order,
     reverse_time,
     validate_topology,
 )
@@ -165,10 +166,11 @@ def test_complete_is_deterministic():
 @pytest.mark.parametrize(
     "partial, explored, solutions",
     [
-        ({}, 44919, 28776),
-        ({"h_left.2": "A", "l_out.3": "B"}, 6401, 3220),
+        # each left annihilation and the last node are free: walked below once
+        ({}, 3663, 28776),
+        ({"h_left.2": "A", "l_out.3": "B"}, 933, 3220),
         # read at the last cell, so most of its dead ends sit at the last step
-        ({"h_left.2": "A", "r_out.3": "B"}, 8667, 3220),
+        ({"h_left.2": "A", "r_out.3": "B"}, 961, 3220),
     ],
 )
 def test_chain_three_search_effort_is_pinned(partial, explored, solutions):
@@ -178,8 +180,33 @@ def test_chain_three_search_effort_is_pinned(partial, explored, solutions):
 
 
 def test_reversed_chain_three_search_effort_is_pinned():
+    # fewer free nodes than forward, so more is walked below a choice
     result = complete(reverse_time(build_chain(3)).structure, {})
-    assert (result.explored, len(result.solutions)) == (44919, 28776)
+    assert (result.explored, len(result.solutions)) == (9951, 28776)
+
+
+def counted_order(structure):
+    """The node each step of the layout fills, matched by its edge ids."""
+    walk = node_order(structure)
+    node_of = {tuple(walk.ports[nid].values()): nid for nid in walk.order}
+    return [node_of[incident] for incident, _, _ in memo(structure, solver._compile).steps]
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_the_free_steps_are_the_nodes_with_no_edge_to_a_later_node(k, reverse):
+    structure = (reverse_time(build_chain(k)) if reverse else build_chain(k)).structure
+    order = counted_order(structure)
+    position = {nid: i for i, nid in enumerate(order)}
+    reads_later = dict.fromkeys(order, False)
+    for dst, srcs in node_order(structure).preds.items():
+        for src in srcs:
+            reads_later[src] |= position[dst] > position[src]
+            reads_later[dst] |= position[src] > position[dst]
+    free = {nid for nid, is_free in zip(order, memo(structure, solver._compile).free) if is_free}
+    assert free == {nid for nid in order if not reads_later[nid]}
+    if not reverse:
+        assert free == {nid for nid in order if nid.startswith("ann_l")} | {order[-1]}
 
 
 @pytest.mark.parametrize(
@@ -399,6 +426,8 @@ def test_cached_plan_still_checks_the_partial(search, partial):
         {"ghost": "X", "c_in": "Y"},
         {"c_in": 0, "r_in": "Y"},
         {"c_in": None, "l_in": [1]},
+        {"c_in": ["A"]},  # unhashable, so no set test can hold it
+        {0: ["A"], "c_in": "A"},
     ],
 )
 def test_engine_rejects_a_partial_with_the_oracle_message(search, partial):
@@ -622,6 +651,48 @@ def test_search_matches_oracle_under_random_pins(name, data):
         assert solutions == [a for a in all_admissible(name) if all(a[e] == v for e, v in partial.items())]
     assert count_completions(structure, partial) == len(solutions)
     assert has_completion(structure, partial) == bool(solutions)
+
+
+def most_fillings(solutions, edges):
+    """The most values the `edges` take among solutions equal elsewhere."""
+    fillings: dict[tuple, set] = {}
+    for a in solutions:
+        rest = tuple(v for e, v in a.items() if e not in edges)
+        fillings.setdefault(rest, set()).add(tuple(a[e] for e in edges))
+    return max(map(len, fillings.values()), default=0)
+
+
+@pytest.mark.parametrize("name", ["chain:1", "reversed chain:1", "chain:2", "reversed chain:2"])
+def test_a_free_node_matches_the_oracle_with_solutions_below_and_with_none(name):
+    structure = ORACLE_STRUCTURES.get(name) or reverse_time(build_chain(1)).structure
+
+    def oracle(partial):
+        if name.endswith(":1"):
+            return brute_force_complete(structure, partial)
+        return [a for a in all_admissible(name) if all(a[e] == v for e, v in partial.items())]
+
+    layout = memo(structure, solver._compile)
+    first = next(incident for (incident, _, _), free in zip(layout.steps, layout.free) if free)
+    last = layout.steps[-1][0]
+    walk = node_order(structure)
+    terminals = [e for e in last if sum(e in ports.values() for ports in walk.ports.values()) == 1]
+    cases = [
+        # the first free node keeps 2-3 fillings, each with the same solutions below
+        ({}, True),
+        ({first[0]: "A"}, True),
+        # the last node made {A, A, B}: nothing below any free node
+        (dict(zip(last, "AAB")), False),
+        # the last node's terminals pinned apart: its third edge must read the
+        # third flavor, so a free node above it is dead on the other values
+        (dict(zip(terminals, "AB")), True),
+    ]
+    for partial, found in cases:
+        solutions = complete(structure, partial).solutions
+        assert solutions == oracle(partial) and bool(solutions) == found, partial
+        assert count_completions(structure, partial) == len(solutions)
+        assert has_completion(structure, partial) == found
+    for partial, _ in cases[:2]:
+        assert 2 <= most_fillings(complete(structure, partial).solutions, first) <= 3
 
 
 #: too many edges for a brute-force scan; held to chains composed from the cell's brute-force solutions
