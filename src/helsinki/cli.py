@@ -468,22 +468,25 @@ def run(argv: list[str]) -> CommandResult:
             return CommandResult(exc.code if isinstance(exc.code, int) else 2, None)
 
     try:
-        body, exit_code = _COMMANDS[args.command][0](args)
-    except (InvalidStructureError, EmptySupportError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CommandResult(2 if isinstance(exc, (OSError, ValueError)) else 1, None)
-    except Exception as exc:  # last resort: no input may end in a traceback
+        try:
+            body, exit_code = _COMMANDS[args.command][0](args)
+        except (InvalidStructureError, EmptySupportError, OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return CommandResult(2 if isinstance(exc, (OSError, ValueError)) else 1, None)
+
+        payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **body}
+        with _exact_digits():
+            if args.output == "json":
+                import json
+                print(json.dumps(payload, indent=2, sort_keys=True))
+            else:
+                for line in _TEXT[args.command](body):
+                    print(line)
+    except BrokenPipeError:  # the reader went away while the result was written: `main` ends the call
+        raise
+    except Exception as exc:  # last resort, the write too: no input may end in a traceback
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return CommandResult(1, None)
-
-    payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **body}
-    with _exact_digits():
-        if args.output == "json":
-            import json
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            for line in _TEXT[args.command](body):
-                print(line)
     return CommandResult(exit_code, payload)
 
 

@@ -2,14 +2,16 @@
 
 Two routes live here on purpose. `complete` is the engine, a depth-first
 walk over the compiled layout below. `brute_force_complete` is the
-reference: try every total assignment and keep the ones `is_admissible`
-accepts. The pruning in the engine is an optimization only; both routes
-must return exactly the same solutions, and the test suite holds them to
-that.
+reference: enumerate every total assignment extending the partial and keep
+the ones `is_admissible` accepts. The pruning in the engine is an
+optimization only; both routes must return exactly the same solutions, and
+the test suite holds them to that.
 
 An assignment is admissible when every node's three incident flavors are
 all equal or all distinct, and no internal edge links two homogeneous
-nodes. Solutions are reported in a canonical order: sorted by the tuple of
+nodes. The rule is stated twice, once per route: in the engine's moves
+tables, and in `_admits`, which `is_admissible` and the oracle share.
+Solutions are reported in a canonical order: sorted by the tuple of
 flavors read along ascending edge ids. Empty solution lists are ordinary
 results, never errors.
 
@@ -61,7 +63,7 @@ from operator import itemgetter
 from typing import Callable, Collection, NamedTuple, Optional, Sequence
 
 from .model import FLAVORS, Assignment, check_partial, node_admissible
-from .structure import Structure, memo, node_order
+from .structure import NodeOrder, Structure, memo, node_order
 
 
 class SolveResult(NamedTuple):
@@ -87,16 +89,28 @@ def is_admissible(structure: Structure, assignment: Assignment) -> bool:
         raise ValueError(f"assignment must be total; missing edges: {', '.join(missing)}")
 
     walk = node_order(structure)
-    homogeneous: dict[str, bool] = {}
-    for nid, ports in walk.ports.items():
-        flavors = [assignment[eid] for eid in ports.values()]
-        if not node_admissible(flavors):
-            return False
-        homogeneous[nid] = len(set(flavors)) == 1
+    return _admits(walk)([assignment[e] for e in walk.edges])
 
-    # the one flavor-dependent adjacency rule: linked nodes may not both be
-    # homogeneous
-    return not any(homogeneous[src] and homogeneous[dst] for dst, srcs in walk.preds.items() for src in srcs)
+
+def _admits(walk: NodeOrder) -> Callable[[Sequence[str]], bool]:
+    """The reference statement of the rule, a test over a total's values in
+    sorted edge order: every node's three flavors are all equal or all
+    distinct, and no internal edge links two homogeneous nodes."""
+    index = {e: i for i, e in enumerate(walk.edges)}
+    position = {nid: k for k, nid in enumerate(walk.ports)}
+    triples = [tuple(index[e] for e in ports.values()) for ports in walk.ports.values()]
+    links = [(position[src], position[dst]) for dst, srcs in walk.preds.items() for src in srcs]
+
+    def admits(values: Sequence[str]) -> bool:
+        homogeneous = []
+        for i, j, k in triples:
+            distinct = len({values[i], values[j], values[k]})
+            if distinct == 2:
+                return False
+            homogeneous.append(distinct == 1)
+        return not any(homogeneous[a] and homogeneous[b] for a, b in links)
+
+    return admits
 
 
 #: a node's admissible (flavor, flavor, flavor, homogeneous), in any port order
@@ -399,36 +413,14 @@ def least_stranding_input(structure: Structure, partial: Assignment, forall: Col
 
 
 def brute_force_complete(structure: Structure, partial: Assignment) -> list[Assignment]:
-    """Reference route: enumerate all 3^|edges| total assignments and keep
-    the admissible ones extending `partial`.
+    """Reference route: enumerate every total assignment extending
+    `partial` and keep the ones `is_admissible` accepts.
 
-    Output is in the same canonical order as `complete`. Index tables are
-    precomputed for speed, but every candidate is still visited.
+    Output is in the same canonical order as `complete`: the totals run in
+    sorted edge order, each edge through `FLAVORS` unless pinned.
     """
     check_partial(structure.edges, partial)
     walk = node_order(structure)
-    edge_ids = walk.edges
-    index = {eid: i for i, eid in enumerate(edge_ids)}
-
-    node_triples = [(nid, tuple(index[eid] for eid in walk.ports[nid].values())) for nid in sorted(structure.nodes)]
-    adjacency = [(src, dst) for dst, srcs in walk.preds.items() for src in srcs]
-    pins = [(index[eid], flavor) for eid, flavor in sorted(partial.items())]
-
-    survivors: list[Assignment] = []
-    for combo in itertools.product(FLAVORS, repeat=len(edge_ids)):
-        if any(combo[i] != flavor for i, flavor in pins):
-            continue
-        ok = True
-        homogeneous: dict[str, bool] = {}
-        for nid, (i, j, k) in node_triples:
-            distinct = len({combo[i], combo[j], combo[k]})
-            if distinct == 2:
-                ok = False
-                break
-            homogeneous[nid] = distinct == 1
-        if not ok:
-            continue
-        if any(homogeneous[a] and homogeneous[b] for a, b in adjacency):
-            continue
-        survivors.append(dict(zip(edge_ids, combo)))
-    return survivors
+    admits = _admits(walk)
+    choices = [(partial[e],) if e in partial else FLAVORS for e in walk.edges]
+    return [dict(zip(walk.edges, values)) for values in itertools.product(*choices) if admits(values)]

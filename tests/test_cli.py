@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -717,19 +718,63 @@ def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, text):
     assert "nested too deeply" in captured.err
 
 
-@pytest.mark.parametrize("argv", [["nonlocal"], ["--output", "json", "table"]])
-def test_a_closed_stdout_ends_without_a_traceback(argv):
+def into_a_closed_pipe(argv):
+    """A `helsinki` child whose stdout is a pipe with its read end already closed."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     try:
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "helsinki.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60
         )
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("argv", [["nonlocal"], ["--output", "json", "table"]])
+def test_a_closed_stdout_ends_without_a_traceback(argv):
+    # the output fits the stdout buffer, so the pipe breaks at `main`'s flush
+    proc = into_a_closed_pipe(argv)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def test_a_pipe_closed_while_the_result_is_written_ends_without_a_traceback(cell_file, capsys):
+    # the cell's solutions as JSON outgrow the stdout buffer, so the pipe breaks while `run` writes
+    argv = ["--output", "json", "solve", "--structure", cell_file]
+    assert run(argv).exit_code == 0 and len(capsys.readouterr().out) > io.DEFAULT_BUFFER_SIZE
+    proc = into_a_closed_pipe(argv)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
+class RaisingWriter:
+    """A stdout whose every write raises `exc`."""
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def write(self, text):
+        raise self.exc
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [["table"], ["--output", "json", "table"]], ids=["text", "json"])
+def test_an_error_while_writing_the_result_is_a_one_line_internal_error(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", RaisingWriter(MemoryError("no room for the result")))
+    assert run(argv) == (1, None)
+    assert capsys.readouterr().err == "error: internal: MemoryError: no room for the result\n"
+
+
+@pytest.mark.parametrize("argv", [["table"], ["--output", "json", "table"]], ids=["text", "json"])
+def test_a_broken_pipe_while_writing_the_result_reaches_the_caller(argv, monkeypatch, capsys):
+    # `main` ends the call; an exit-2 `error:` line would blame the input for a reader that went away
+    monkeypatch.setattr(sys, "stdout", RaisingWriter(BrokenPipeError(32, "Broken pipe")))
+    with pytest.raises(BrokenPipeError):
+        run(argv)
+    assert capsys.readouterr().err == ""
 
 
 def test_unexpected_exception_is_a_one_line_internal_error(monkeypatch, capsys):

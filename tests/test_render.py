@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from helsinki.model import ANNIHILATION, PRODUCTION
 from helsinki.render import render
 from helsinki.solver import has_completion
 from helsinki.structure import (
@@ -14,6 +15,7 @@ from helsinki.structure import (
     Structure,
     build_chain,
     build_h_cell,
+    node_order,
     reverse_time,
 )
 
@@ -56,6 +58,22 @@ def test_ascii_tiers_run_deepest_first_then_by_node_id():
         "tier 1 : ann_l.2 <production>",
         "tier 1 : ann_r.2 <production>",
     ]
+
+
+def test_ascii_tiers_list_ids_in_order_where_the_walk_does_not():
+    # the walk takes z (fed by b) before zz, and so before a (fed by zz)
+    edges = {}
+    for prod, ann in (("b", "z"), ("zz", "a")):
+        edges[f"{prod}.in"] = Edge(Endpoint(terminal=f"{prod}.in", side=PAST), Endpoint(prod, "in1"))
+        edges[f"{prod}.{ann}"] = Edge(Endpoint(prod, "out1"), Endpoint(ann, "in1"))
+        edges[f"{prod}.out"] = Edge(Endpoint(prod, "out2"), Endpoint(terminal=f"{prod}.out", side=FUTURE))
+        edges[f"{ann}.in"] = Edge(Endpoint(terminal=f"{ann}.in", side=PAST), Endpoint(ann, "in2"))
+        edges[f"{ann}.out"] = Edge(Endpoint(ann, "out1"), Endpoint(terminal=f"{ann}.out", side=FUTURE))
+    structure = Structure({"b": PRODUCTION, "zz": PRODUCTION, "z": ANNIHILATION, "a": ANNIHILATION}, edges)
+    assert list(node_order(structure).depth) == ["b", "z", "zz", "a"]
+    art = render(Scenario.derive(structure), None, "ascii")
+    tiers = [line.split(" <")[0] for line in art.splitlines() if line.startswith("tier ")]
+    assert tiers == ["tier 2 : a", "tier 2 : z", "tier 1 : b", "tier 1 : zz"]
 
 
 def test_ascii_deterministic():
@@ -117,6 +135,19 @@ def test_render_of_an_invalid_structure_raises_on_every_call(fmt):
     for _ in range(2):
         with pytest.raises(InvalidStructureError, match="^port-unused \\[p\\]: port 'out1' has no edge; "):
             render(broken, None, fmt)
+
+
+def test_dot_escapes_an_id_of_quotes_only_and_an_id_of_backslashes_only():
+    wire = lambda w: Edge(Endpoint(terminal=w, side=PAST), Endpoint(terminal=w, side=FUTURE))
+    dot = render(Scenario.derive(Structure({}, {'"': wire('"'), "\\": wire("\\")})), None, "graph")
+    assert dot.splitlines()[3:-1] == [
+        '  "term:future:\\"" [shape=square, label="\\""];',
+        '  "term:future:\\\\" [shape=square, label="\\\\"];',
+        '  "term:past:\\"" [shape=circle, label="\\""];',
+        '  "term:past:\\\\" [shape=circle, label="\\\\"];',
+        '  "term:past:\\"" -> "term:future:\\"" [label="\\""];',
+        '  "term:past:\\\\" -> "term:future:\\\\" [label="\\\\"];',
+    ]
 
 
 def test_dot_escapes_quotes_and_backslashes_in_every_id():

@@ -584,7 +584,9 @@ def test_value_equal_structures_give_identical_results():
 
 def test_free_line_completions():
     structure = free_line().structure
-    assert [a["w"] for a in complete(structure, {}).solutions] == ["A", "B", "C"]
+    result = complete(structure, {})
+    # no node, so the layout has no step and the walk examines no move
+    assert ([a["w"] for a in result.solutions], result.explored) == (["A", "B", "C"], 0)
 
 
 # --- properties ---
@@ -634,9 +636,40 @@ ORACLE_STRUCTURES = {
 
 @functools.lru_cache(maxsize=None)
 def all_admissible(name):
-    # one full scan per structure; filtering it by pins is the oracle's own
-    # filter, and a scan per example would take seconds
+    # one full scan per structure; a test that needs many pinned answers
+    # filters it by the pins, which equals a pinned oracle call (held below)
+    # and is cheaper than a scan of the 3^(13 - pins) extensions per example
     return brute_force_complete(ORACLE_STRUCTURES[name], {})
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [build_h_cell(), reverse_time(build_h_cell()), wired_cell(), lone_production(), diamond()],
+    ids=["cell", "reversed cell", "wired cell", "lone production", "diamond"],
+)
+def test_the_oracle_keeps_the_totals_is_admissible_accepts(scenario):
+    structure = scenario.structure
+    edges = sorted(structure.edges)
+    totals = (dict(zip(edges, values)) for values in itertools.product(FLAVORS, repeat=len(edges)))
+    accepted = [list(a.items()) for a in totals if is_admissible(structure, a)]
+    assert accepted == [list(a.items()) for a in brute_force_complete(structure, {})]
+
+
+@pytest.mark.parametrize("name", ["chain:2", "reversed chain:2"])
+@pytest.mark.parametrize(
+    "partial, found",
+    [
+        ({"c_mid.2": "B"}, True),
+        ({"c_in": "A", "l_in.1": "C", "r_out.2": "B"}, True),
+        ({"h_left.2": "A", "l_in.2": "A", "l_out.2": "B"}, False),  # ann_l.2 would read {A, A, B}
+    ],
+    ids=["one pin", "three pins", "contradiction"],
+)
+def test_the_pinned_oracle_is_the_unpinned_scan_filtered_by_the_pins(name, partial, found):
+    pinned = brute_force_complete(ORACLE_STRUCTURES[name], partial)
+    filtered = [a for a in all_admissible(name) if all(a[e] == v for e, v in partial.items())]
+    assert [list(a.items()) for a in pinned] == [list(a.items()) for a in filtered]
+    assert bool(pinned) == found
 
 
 @settings(max_examples=100, deadline=None)

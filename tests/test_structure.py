@@ -96,6 +96,10 @@ def test_chain_three_longest_path():
     assert longest_node_path(build_chain(3).structure) == 6
 
 
+def test_longest_path_of_the_empty_structure_is_zero():
+    assert longest_node_path(Structure({}, {})) == 0
+
+
 def test_longest_path_of_a_deep_chain():
     assert longest_node_path(build_chain(1000).structure) == 2000
 
@@ -356,6 +360,15 @@ def test_writer_escapes_ids_as_json_does(ids, flavor):
     text = serialize_scenario(scenario, assignment)
     assert text == document(scenario, assignment)
     assert parse_scenario_document(text) == (scenario, assignment)
+
+
+def test_structures_compare_by_nodes_and_edges():
+    cell = build_h_cell().structure
+    other_kinds = {nid: PRODUCTION if kind == ANNIHILATION else ANNIHILATION for nid, kind in cell.nodes.items()}
+    wire = Edge(Endpoint(terminal="w", side=PAST), Endpoint(terminal="w", side=FUTURE))
+    assert Structure(dict(cell.nodes), dict(cell.edges)) == cell
+    assert Structure(dict(cell.nodes), {**cell.edges, "w": wire}) != cell
+    assert Structure(other_kinds, dict(cell.edges)) != cell
 
 
 def test_endpoints_compare_by_value():
