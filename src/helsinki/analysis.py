@@ -3,11 +3,13 @@
 The wing inputs of the cell act like measurement settings: which hidden
 states survive depends counterfactually on them, and one wing's admissible
 outputs depend on the other wing's setting. Both dependencies are computed
-here as exact set differences over exhaustive solution sets, along with the
-symmetry-class reduction of the 27 input triples to 4 and the check that no
-choice of inputs ever strands a chain without a completion. That check
-enumerates no inputs: one `solver.least_stranding_input` pass decides it
-for all of them at once and returns the least counterexample.
+here as exact set differences over exhaustive solution sets: both witness
+lists read one scan (`_support_changes`) of the single wing-input changes,
+each with its own support. Here too are the symmetry-class reduction of
+the 27 input triples to 4 and the check that no choice of inputs ever
+strands a chain without a completion. That check enumerates no inputs:
+one `solver.least_stranding_input` pass decides it for all of them at
+once and returns the least counterexample.
 The cell's table (`cell_solutions`) is built straight from the node rules
 in `model`, once per input triple per process, so the cell-level analyses
 here and in `prob` and `loops` load no search engine; the engine is the
@@ -190,14 +192,18 @@ def state_table() -> StateTable:
     return StateTable(columns, rows)
 
 
-def _wing_changes():
-    """Every input triple with one wing input changed, as (base, side, new
-    value, changed triple), ordered by base triple, side, then new value."""
+def _support_changes(support):
+    """Every single wing-input change that alters `support(triple, side)`,
+    as (base, side, new value, old support, new support), ordered by base
+    triple, side, then new value: the one question both witness lists ask."""
     for base in ALL_INPUT_TRIPLES:
         for side in ("left", "right"):
+            old = support(base, side)
             for new_value in FLAVORS:
                 if new_value != getattr(base, side):
-                    yield base, side, new_value, base._replace(**{side: new_value})
+                    new = support(base._replace(**{side: new_value}), side)
+                    if new != old:
+                        yield base, side, new_value, old, new
 
 
 def retro_witnesses() -> list[RetroWitness]:
@@ -205,30 +211,20 @@ def retro_witnesses() -> list[RetroWitness]:
 
     Ordered lexicographically by (base triple, changed side, new value).
     """
-    witnesses = []
-    for base, side, new_value, varied in _wing_changes():
-        base_set = hidden_state_set(base)
-        varied_set = hidden_state_set(varied)
-        if varied_set != base_set:
-            lost, gained = frozenset(base_set - varied_set), frozenset(varied_set - base_set)
-            witnesses.append(RetroWitness(base, side, new_value, lost, gained))
-    return witnesses
+    changes = _support_changes(lambda t, side: hidden_state_set(t))
+    return [RetroWitness(base, side, value, frozenset(old - new), frozenset(new - old))
+            for base, side, value, old, new in changes]
 
 
-def _output_set(t: InputTriple, edge: str) -> frozenset[str]:
-    return frozenset(a[edge] for a in cell_solutions(t))
+#: the far wing's output edge, by the side whose input changes
+_REMOTE = {"left": "r_out", "right": "l_out"}
 
 
 def nonlocality_witnesses() -> list[NonlocalWitness]:
     """Every single wing-input change that alters the far wing's admissible
     output flavors. Same canonical ordering as the retro list."""
-    witnesses = []
-    for base, side, new_value, varied in _wing_changes():
-        remote = "r_out" if side == "left" else "l_out"
-        old, new = _output_set(base, remote), _output_set(varied, remote)
-        if new != old:
-            witnesses.append(NonlocalWitness(base, side, new_value, remote, old, new))
-    return witnesses
+    changes = _support_changes(lambda t, side: frozenset(a[_REMOTE[side]] for a in cell_solutions(t)))
+    return [NonlocalWitness(base, side, value, _REMOTE[side], old, new) for base, side, value, old, new in changes]
 
 
 def check_all_inputs(scenario: Scenario) -> ConsistencyReport:

@@ -491,11 +491,15 @@ def run(argv: list[str]) -> CommandResult:
 
 
 def main() -> None:
+    result = None
     try:
-        code = run(sys.argv[1:]).exit_code
+        result = run(sys.argv[1:])
         sys.stdout.flush()
-    except BrokenPipeError:  # the reader went away: the output is lost, but no traceback
+        code = result.exit_code
+    except OSError as exc:  # the reader went away, or the last flush failed (a full disk): no traceback
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flush must not raise again
+        if not isinstance(exc, BrokenPipeError) and result is not None and result.payload is not None:
+            print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)  # else `run` has said it
         code = 1
     sys.exit(code)
 

@@ -190,7 +190,7 @@ def _compile(structure: Structure) -> _Layout:
     the frontier narrow.
     """
     walk = node_order(structure)
-    edges = [tuple(walk.ports[nid].values()) for nid in walk.order]
+    edges = [tuple(walk.ports[nid].values()) for nid in walk.depth]
     touching: dict[str, list[int]] = {}
     for k, incident in enumerate(edges):
         for e in incident:

@@ -165,8 +165,9 @@ def memo(structure: Structure, build: Callable):
 
 
 class NodeOrder(NamedTuple):
-    """The one walk over a structure: its port table, topological order,
-    path depths and violations. Shared; readers must not mutate it."""
+    """The one walk over a structure: its port table, its nodes in
+    topological order with their path depths, and its violations. Shared;
+    readers must not mutate it."""
 
     #: sorted edge ids (the solver finds for itself those that touch no node)
     edges: list[str]
@@ -174,10 +175,9 @@ class NodeOrder(NamedTuple):
     ports: dict[str, dict[str, str]]
     #: node -> source node of each internal edge entering it
     preds: dict[str, list[str]]
-    #: topological order; among ready nodes the least id goes first (Kahn);
-    #: nodes a directed cycle feeds are left off
-    order: list[str]
-    #: ordered node -> node count of the longest directed path ending there
+    #: node -> node count of the longest directed path ending there, its keys
+    #: the nodes in topological order: among ready nodes the least id goes
+    #: first (Kahn); nodes a directed cycle feeds are left off
     depth: dict[str, int]
     #: every broken structural invariant, in report order
     violations: tuple[Violation, ...]
@@ -244,12 +244,10 @@ def _walk(structure: Structure) -> NodeOrder:
     indeg = {nid: len(p) for nid, p in preds.items()}
     ready = [nid for nid, d in indeg.items() if d == 0]
     heapq.heapify(ready)
-    order: list[str] = []
     depth: dict[str, int] = {}
     below = dict.fromkeys(nodes, 0)  # the deepest ordered predecessor so far
     while ready:
         nid = heapq.heappop(ready)
-        order.append(nid)
         d = depth[nid] = below[nid] + 1
         for nxt in succ[nid]:
             if below[nxt] < d:
@@ -259,7 +257,7 @@ def _walk(structure: Structure) -> NodeOrder:
                 heapq.heappush(ready, nxt)
     stuck = sorted(nid for nid, d in indeg.items() if d > 0)
     cycle = [Violation("cycle", ",".join(stuck), "directed cycle through these nodes")] if stuck else []
-    return NodeOrder(edges, ports, preds, order, depth, tuple(kind_v + edge_v + port_v + link_v + cycle))
+    return NodeOrder(edges, ports, preds, depth, tuple(kind_v + edge_v + port_v + link_v + cycle))
 
 
 def node_order(structure: Structure) -> NodeOrder:
@@ -437,6 +435,8 @@ def parse_scenario_document(text: str) -> tuple[Scenario, Optional[dict[str, str
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise ParseError("invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # an integer literal longer than the interpreter converts
+        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     for key in ("nodes", "edges"):

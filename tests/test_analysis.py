@@ -8,6 +8,7 @@ from helsinki.analysis import (
     ALL_INPUT_TRIPLES,
     ConsistencyReport,
     InputTriple,
+    NonlocalWitness,
     RetroWitness,
     Transform,
     apply_transform,
@@ -222,6 +223,33 @@ def test_the_cell_table_is_what_the_engine_finds(t):
     for solutions in (solver.complete(cell, inputs).solutions, solver.brute_force_complete(cell, inputs)):
         assert table == solutions
         assert [list(a) for a in table] == [list(a) for a in solutions]
+
+
+def test_both_witness_lists_are_the_engines_supports_compared_per_change():
+    cell = build_h_cell().structure
+
+    def solutions(t):
+        return solver.complete(cell, {"l_in": t.left, "c_in": t.center, "r_in": t.right}).solutions
+
+    retro, nonlocal_, changes = [], [], 0
+    for base in ALL_INPUT_TRIPLES:
+        for side, remote in (("left", "r_out"), ("right", "l_out")):
+            for value in FLAVORS:
+                if value == getattr(base, side):
+                    continue
+                changes += 1
+                old, new = solutions(base), solutions(base._replace(**{side: value}))
+                old_hidden, new_hidden = ({(a["h_left"], a["h_right"]) for a in s} for s in (old, new))
+                if old_hidden != new_hidden:
+                    lost, gained = frozenset(old_hidden - new_hidden), frozenset(new_hidden - old_hidden)
+                    retro.append(RetroWitness(base, side, value, lost, gained))
+                old_out, new_out = (frozenset(a[remote] for a in s) for s in (old, new))
+                if old_out != new_out:
+                    nonlocal_.append(NonlocalWitness(base, side, value, remote, old_out, new_out))
+    assert changes == 108
+    for got, expected in ((retro_witnesses(), retro), (nonlocality_witnesses(), nonlocal_)):
+        assert got == expected
+        assert [tuple(map(type, w)) for w in got] == [tuple(map(type, w)) for w in expected]
 
 
 def test_the_cell_roles_are_the_built_cells():

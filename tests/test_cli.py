@@ -718,15 +718,34 @@ def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, text):
     assert "nested too deeply" in captured.err
 
 
+def test_an_integer_literal_past_the_digit_limit_is_a_parse_error_naming_the_file(tmp_path, capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not 0 < limit < 5000:
+        pytest.skip("no integer digit limit below 5 000")
+    path = tmp_path / "long.json"
+    path.write_text('{"nodes": {"p": ' + "1" * 5000 + '}, "edges": {}}')
+    assert run(["solve", "--structure", str(path)]).exit_code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: invalid JSON: ") and captured.err.endswith(f": {str(path)!r}\n")
+
+
+def child(argv, stdout):
+    """A `helsinki` child writing to `stdout`, buffered as by a default interpreter whatever this process
+    inherits, so an output that fits the stdout buffer is written at `main`'s flush."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, "-m", "helsinki.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60
+    )
+
+
 def into_a_closed_pipe(argv):
     """A `helsinki` child whose stdout is a pipe with its read end already closed."""
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     try:
-        return subprocess.run(
-            [sys.executable, "-m", "helsinki.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60
-        )
+        return child(argv, write_end)
     finally:
         os.close(write_end)
 
@@ -737,6 +756,24 @@ def test_a_closed_stdout_ends_without_a_traceback(argv):
     proc = into_a_closed_pipe(argv)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [["table"], ["--output", "json", "retro"], ["solve", "--structure", "CHAIN2"]],
+    ids=["at-the-flush", "json-at-the-flush", "while-written"],
+)
+def test_a_full_disk_ends_in_one_internal_error_line(argv, tmp_path):
+    # the table and the retro JSON (7 KB) fit the stdout buffer, so the write fails at `main`'s flush;
+    # chain:2's solutions (180 KB) do not, so it fails while `run` writes
+    path = tmp_path / "chain2.json"
+    path.write_text(serialize_scenario(build_chain(2)))
+    with open("/dev/full", "wb") as full:
+        proc = child([str(path) if word == "CHAIN2" else word for word in argv], full)
+    assert proc.returncode == 1
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: internal: OSError"), proc.stderr
 
 
 def test_a_pipe_closed_while_the_result_is_written_ends_without_a_traceback(cell_file, capsys):

@@ -188,8 +188,15 @@ def test_reversed_chain_three_search_effort_is_pinned():
 def counted_order(structure):
     """The node each step of the layout fills, matched by its edge ids."""
     walk = node_order(structure)
-    node_of = {tuple(walk.ports[nid].values()): nid for nid in walk.order}
+    node_of = {tuple(walk.ports[nid].values()): nid for nid in walk.depth}
     return [node_of[incident] for incident, _, _ in memo(structure, solver._compile).steps]
+
+
+def test_the_layout_fills_chain_two_in_a_pinned_order():
+    # the layout's node order decides `explored`; the pinned effort figures rest on it
+    assert counted_order(build_chain(2).structure) == ["prod.1", "ann_l.1", "ann_r.1", "prod.2", "ann_l.2", "ann_r.2"]
+    reversed_order = ["ann_l.1", "prod.1", "ann_r.1", "prod.2", "ann_l.2", "ann_r.2"]
+    assert counted_order(reverse_time(build_chain(2)).structure) == reversed_order
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])

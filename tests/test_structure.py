@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as hyp
@@ -25,6 +26,7 @@ from helsinki.structure import (
     build_h_cell,
     intervention_edges,
     longest_node_path,
+    node_order,
     parse_scenario,
     parse_scenario_document,
     reverse_time,
@@ -506,6 +508,27 @@ def test_parse_error_messages(text, message):
 def test_deeply_nested_json_is_a_parse_error(text):
     with pytest.raises(ParseError, match="^invalid JSON: nested too deeply$"):
         parse_scenario_document(text)
+
+
+def test_an_integer_literal_past_the_digit_limit_is_a_parse_error():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not 0 < limit < 5000:
+        pytest.skip("no integer digit limit below 5 000")
+    with pytest.raises(ParseError, match="^invalid JSON: "):
+        parse_scenario_document('{"nodes": {"p": ' + "1" * 5000 + '}, "edges": {}}')
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_the_walk_keeps_its_nodes_in_kahn_order(k, reverse):
+    scenario = reverse_time(build_chain(k)) if reverse else build_chain(k)
+    structure = scenario.structure
+    links = [(src[0], dst[0]) for src, dst in structure.edges.values() if src[2] is None and dst[2] is None]
+    order = []  # the least id first among the nodes whose sources are all placed
+    while len(order) < len(structure.nodes):
+        ready = [n for n in structure.nodes if n not in order and all(a in order for a, b in links if b == n)]
+        order.append(min(ready))
+    assert list(node_order(structure).depth) == order
 
 
 def test_violation_messages():
