@@ -4,8 +4,12 @@ Every invocation produces a single structured document, printed as JSON
 with --output json; the aligned text printed by default is a view of that
 document, one function per command in `_TEXT`. Exit codes: 0 success,
 1 domain failure (empty support, structure validation, failed sweep) or an
-internal error (one `error: internal:` line, no traceback), 2 usage or
-parse error. Everything is deterministic; there is no seed flag.
+internal error, a failed write or flush of stdout included (one line naming
+the exception, no traceback), 2 usage or parse error. `run` reports every
+such line; `main` only ends the process, with exit code 1 and nothing on
+stderr when the reader went away (a broken pipe or a closed stdout). A
+closed or failing stderr loses a line, never the exit code. Everything is
+deterministic; there is no seed flag.
 
 A call loads only what its command uses: each handler imports its own
 analysis modules when it runs. A plain command line is read straight from
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
@@ -457,23 +461,33 @@ def build_parser():
     return build_parser(_COMMANDS, _OUTPUTS)
 
 
-def run(argv: list[str]) -> CommandResult:
-    """Dispatch one invocation; structured output on stdout, diagnostics on
-    stderr. Never raises for user errors; see module docstring for codes."""
-    args = _plain_args(argv)
-    if args is None:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return CommandResult(exc.code if isinstance(exc.code, int) else 2, None)
+def _say(line: str) -> None:
+    """Print one diagnostic line on stderr. A closed or failing stderr loses the line, never the call's exit code;
+    `print` would write to stdout if `sys.stderr` were None."""
+    if sys.stderr is not None:
+        with suppress(OSError):
+            print(line, file=sys.stderr)
 
+
+def run(argv: list[str]) -> CommandResult:
+    """Dispatch one invocation; structured output on stdout, flushed before the return, diagnostics on
+    stderr. Every error becomes an exit code but a `BrokenPipeError` (the reader went away), which the caller
+    ends; see module docstring for codes."""
     try:
+        try:
+            args = _plain_args(argv) or build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse has printed help, or a usage error on stderr
+            if sys.stdout is not None:  # else argparse printed the help on stderr
+                sys.stdout.flush()
+            return CommandResult(exc.code if isinstance(exc.code, int) else 2, None)
         try:
             body, exit_code = _COMMANDS[args.command][0](args)
         except (InvalidStructureError, EmptySupportError, OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            _say(f"error: {exc}")
             return CommandResult(2 if isinstance(exc, (OSError, ValueError)) else 1, None)
 
+        if sys.stdout is None:  # stdout is closed: the result has no reader, as when one went away
+            raise BrokenPipeError("stdout is closed")
         payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **body}
         with _exact_digits():
             if args.output == "json":
@@ -482,25 +496,27 @@ def run(argv: list[str]) -> CommandResult:
             else:
                 for line in _TEXT[args.command](body):
                     print(line)
-    except BrokenPipeError:  # the reader went away while the result was written: `main` ends the call
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader went away while the result was written: the caller ends the call
         raise
-    except Exception as exc:  # last resort, the write too: no input may end in a traceback
-        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except Exception as exc:  # last resort, every write and flush too: no input may end in a traceback
+        _say(f"error: internal: {type(exc).__name__}: {exc}")
         return CommandResult(1, None)
     return CommandResult(exit_code, payload)
 
 
 def main() -> None:
-    result = None
+    """Exit with `run`'s code, or 1 when the reader went away. What a failed write left in a buffer is then
+    sent to `os.devnull`, so the interpreter's exit flush cannot fail (no `Exception ignored`, no exit 120)."""
     try:
-        result = run(sys.argv[1:])
-        sys.stdout.flush()
-        code = result.exit_code
-    except OSError as exc:  # the reader went away, or the last flush failed (a full disk): no traceback
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flush must not raise again
-        if not isinstance(exc, BrokenPipeError) and result is not None and result.payload is not None:
-            print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)  # else `run` has said it
+        code = run(sys.argv[1:]).exit_code
+    except BrokenPipeError:
         code = 1
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        try:
+            stream.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     sys.exit(code)
 
 

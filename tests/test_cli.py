@@ -730,13 +730,15 @@ def test_an_integer_literal_past_the_digit_limit_is_a_parse_error_naming_the_fil
     assert captured.err.startswith("error: invalid JSON: ") and captured.err.endswith(f": {str(path)!r}\n")
 
 
-def child(argv, stdout):
-    """A `helsinki` child writing to `stdout`, buffered as by a default interpreter whatever this process
-    inherits, so an output that fits the stdout buffer is written at `main`'s flush."""
+def child(argv, stdout, stderr=subprocess.PIPE, closed=None):
+    """A `helsinki` child writing to `stdout` and `stderr`, with descriptor `closed` (if any) shut before it starts,
+    buffered as by a default interpreter whatever this process inherits, so an output that fits the stdout buffer
+    is written at `run`'s final flush."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
-        [sys.executable, "-m", "helsinki.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60
+        [sys.executable, "-m", "helsinki.cli", *argv], stdout=stdout, stderr=stderr, env=env, timeout=60,
+        preexec_fn=None if closed is None else lambda: os.close(closed),
     )
 
 
@@ -752,21 +754,54 @@ def into_a_closed_pipe(argv):
 
 @pytest.mark.parametrize("argv", [["nonlocal"], ["--output", "json", "table"]])
 def test_a_closed_stdout_ends_without_a_traceback(argv):
-    # the output fits the stdout buffer, so the pipe breaks at `main`'s flush
+    # the output fits the stdout buffer, so the pipe breaks at `run`'s final flush
     proc = into_a_closed_pipe(argv)
     assert proc.returncode == 1
     assert proc.stderr == b""
 
 
+def test_a_closed_stdout_ends_as_a_reader_that_went_away():
+    proc = child(["table"], subprocess.DEVNULL, closed=1)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
+def test_a_closed_stderr_keeps_the_exit_code(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    proc = child(["solve", "--structure", missing], subprocess.PIPE, subprocess.DEVNULL, closed=2)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv", [["solve", "--structure", "MISSING"], ["hidden", "--left", "D", "--center", "A", "--right", "A"]],
+    ids=["error", "usage"],
+)
+def test_a_full_disk_on_stderr_keeps_the_exit_code(argv, tmp_path):
+    with open("/dev/full", "wb") as full:
+        argv = [str(tmp_path / "missing.json") if word == "MISSING" else word for word in argv]
+        proc = child(argv, subprocess.PIPE, full)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+
+
+def test_no_stderr_loses_the_error_line_not_the_exit_code(monkeypatch, capsys, tmp_path):
+    # `print(file=None)` would write to stdout
+    monkeypatch.setattr(sys, "stderr", None)
+    assert run(["solve", "--structure", str(tmp_path / "missing.json")]).exit_code == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize(
     "argv",
-    [["table"], ["--output", "json", "retro"], ["solve", "--structure", "CHAIN2"]],
-    ids=["at-the-flush", "json-at-the-flush", "while-written"],
+    [["table"], ["--output", "json", "retro"], ["--help"], ["solve", "--structure", "CHAIN2"]],
+    ids=["at-the-flush", "json-at-the-flush", "help-at-the-flush", "while-written"],
 )
 def test_a_full_disk_ends_in_one_internal_error_line(argv, tmp_path):
-    # the table and the retro JSON (7 KB) fit the stdout buffer, so the write fails at `main`'s flush;
-    # chain:2's solutions (180 KB) do not, so it fails while `run` writes
+    # the table, the retro JSON (7 KB) and the help fit the stdout buffer, so the write fails at `run`'s final
+    # flush; chain:2's solutions (180 KB) do not, so it fails while `run` writes
     path = tmp_path / "chain2.json"
     path.write_text(serialize_scenario(build_chain(2)))
     with open("/dev/full", "wb") as full:
