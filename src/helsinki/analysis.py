@@ -160,12 +160,16 @@ def canonicalize_inputs(t: InputTriple) -> tuple[InputTriple, Transform]:
     """
     for value in t:
         check_flavor(value)
-    # the four images with center A: the least image has the least (left, right); `min` keeps the first of a tie
-    return min(
-        ((apply_transform(t, transform), transform)
-         for p in ALL_PERMUTATIONS if p[t.center] == "A" for transform in (Transform(p, False), Transform(p, True))),
-        key=lambda pair: pair[0],
-    )
+    best = None
+    for p in ALL_PERMUTATIONS:
+        if p[t.center] != "A":
+            continue
+        for reflected in (False, True):
+            transform = Transform(p, reflected)
+            image = apply_transform(t, transform)
+            if best is None or (image.left, image.right) < (best[0].left, best[0].right):
+                best = (image, transform)
+    return best
 
 
 def input_classes() -> list[InputTriple]:

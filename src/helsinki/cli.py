@@ -6,9 +6,9 @@ document, one function per command in `_TEXT`. Exit codes: 0 success,
 1 domain failure (empty support, structure validation, failed sweep) or an
 internal error, a failed write or flush of stdout included (one line naming
 the exception, no traceback), 2 usage or parse error. `run` reports every
-such line; `main` only ends the process, with exit code 1 and nothing on
-stderr when the reader went away (a broken pipe or a closed stdout). A
-closed or failing stderr loses a line, never the exit code. Everything is
+such line; a closed stdout is exit code 1 and nothing on stderr, and so is
+a reader that went away (a broken pipe), which `main` ends. A closed or
+failing stderr loses a line, never the exit code. Everything is
 deterministic; there is no seed flag.
 
 A call loads only what its command uses: each handler imports its own
@@ -487,7 +487,7 @@ def run(argv: list[str]) -> CommandResult:
             return CommandResult(2 if isinstance(exc, (OSError, ValueError)) else 1, None)
 
         if sys.stdout is None:  # stdout is closed: the result has no reader, as when one went away
-            raise BrokenPipeError("stdout is closed")
+            return CommandResult(1, None)
         payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **body}
         with _exact_digits():
             if args.output == "json":

@@ -10,6 +10,8 @@ as `python -m helsinki.cli`, the CLI module is `__main__`, and importing
 from __future__ import annotations
 
 import argparse
+import sys
+from contextlib import suppress
 
 
 def _checked(convert):
@@ -22,9 +24,25 @@ def _checked(convert):
     return convert_or_fail
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, writing as the rest of the CLI does on every Python version (argparse's own rules
+    changed in 3.11.7 and 3.12): the help is written as a result is, so a failed write is the call's error, and a
+    usage error goes to stderr only, where a closed or failing stream loses it and the call keeps exit code 2."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message:
+            (file or sys.stderr).write(message)
+
+    def error(self, message: str):
+        if sys.stderr is not None:  # argparse would print the usage on stdout
+            with suppress(OSError):
+                sys.stderr.write(f"{self.format_usage()}{self.prog}: error: {message}\n")
+        sys.exit(2)
+
+
 def build_parser(commands: dict, outputs: tuple) -> argparse.ArgumentParser:
     """The parser of `commands`, laid out as `cli._COMMANDS`, after a global `--output` of one of `outputs`."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="helsinki",
         description="Admissible-assignment analyses of three-flavor production/annihilation structures.",
     )

@@ -766,30 +766,38 @@ def test_a_closed_stdout_ends_as_a_reader_that_went_away():
     assert proc.stderr == b""
 
 
-def test_a_closed_stderr_keeps_the_exit_code(tmp_path):
-    missing = str(tmp_path / "missing.json")
-    proc = child(["solve", "--structure", missing], subprocess.PIPE, subprocess.DEVNULL, closed=2)
+# a missing file and a usage error: each exits 2 with its line on stderr, and with stdout left empty
+STDERR_CASES = pytest.mark.parametrize(
+    "argv", [["solve", "--structure", "MISSING"], ["hidden", "--left", "D", "--center", "A", "--right", "A"]],
+    ids=["error", "usage"],
+)
+
+
+def missing_file(argv, tmp_path):
+    return [str(tmp_path / "missing.json") if word == "MISSING" else word for word in argv]
+
+
+@STDERR_CASES
+def test_a_closed_stderr_keeps_the_exit_code(argv, tmp_path):
+    proc = child(missing_file(argv, tmp_path), subprocess.PIPE, subprocess.DEVNULL, closed=2)
     assert proc.returncode == 2
     assert proc.stdout == b""
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize(
-    "argv", [["solve", "--structure", "MISSING"], ["hidden", "--left", "D", "--center", "A", "--right", "A"]],
-    ids=["error", "usage"],
-)
+@STDERR_CASES
 def test_a_full_disk_on_stderr_keeps_the_exit_code(argv, tmp_path):
     with open("/dev/full", "wb") as full:
-        argv = [str(tmp_path / "missing.json") if word == "MISSING" else word for word in argv]
-        proc = child(argv, subprocess.PIPE, full)
+        proc = child(missing_file(argv, tmp_path), subprocess.PIPE, full)
     assert proc.returncode == 2
     assert proc.stdout == b""
 
 
-def test_no_stderr_loses_the_error_line_not_the_exit_code(monkeypatch, capsys, tmp_path):
-    # `print(file=None)` would write to stdout
+@STDERR_CASES
+def test_no_stderr_loses_the_error_line_not_the_exit_code(argv, monkeypatch, capsys, tmp_path):
+    # `print(file=None)` would write to stdout, and so would argparse's usage line
     monkeypatch.setattr(sys, "stderr", None)
-    assert run(["solve", "--structure", str(tmp_path / "missing.json")]).exit_code == 2
+    assert run(missing_file(argv, tmp_path)).exit_code == 2
     assert capsys.readouterr().out == ""
 
 
@@ -838,6 +846,13 @@ def test_an_error_while_writing_the_result_is_a_one_line_internal_error(argv, mo
     monkeypatch.setattr(sys, "stdout", RaisingWriter(MemoryError("no room for the result")))
     assert run(argv) == (1, None)
     assert capsys.readouterr().err == "error: internal: MemoryError: no room for the result\n"
+
+
+def test_help_that_cannot_be_written_is_a_one_line_internal_error(monkeypatch, capsys):
+    # as on an unbuffered stdout: the help's own write fails, before `run`'s final flush
+    monkeypatch.setattr(sys, "stdout", RaisingWriter(OSError(28, "No space left on device")))
+    assert run(["--help"]) == (1, None)
+    assert capsys.readouterr().err == "error: internal: OSError: [Errno 28] No space left on device\n"
 
 
 @pytest.mark.parametrize("argv", [["table"], ["--output", "json", "table"]], ids=["text", "json"])
