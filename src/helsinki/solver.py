@@ -12,8 +12,12 @@ all equal or all distinct, and no internal edge links two homogeneous
 nodes. The rule is stated twice, once per route: in the engine's moves
 tables, and in `_admits`, which `is_admissible` and the oracle share.
 Solutions are reported in a canonical order: sorted by the tuple of
-flavors read along ascending edge ids. Empty solution lists are ordinary
-results, never errors.
+flavors read along ascending edge ids. `complete` sorts on the deciding
+edges only, every edge but each node's last in sorted order: all equal
+or all distinct, a node's two earlier flavors fix its last, so the first
+edge where two solutions differ always decides, and the shorter key gives
+exactly that order. Empty solution lists are ordinary results, never
+errors.
 
 Each structure object is compiled once, from `structure.node_order`, into
 one layout, kept on the object (`structure.memo`), so a structure must not
@@ -60,7 +64,7 @@ import functools
 import heapq
 import itertools
 from operator import itemgetter
-from typing import Callable, Collection, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Optional, Sequence
 
 from .model import FLAVORS, Assignment, check_partial, node_admissible
 from .structure import NodeOrder, Structure, memo, node_order
@@ -165,6 +169,11 @@ class _Layout(NamedTuple):
     #: the sorted edges no node reads, which `_compile` finds as those its
     #: `touching` map lacks: a factor of 3 each unless pinned
     loose: tuple[str, ...]
+    #: a getter for a solution's values on the deciding edges, in sorted
+    #: order: every edge but each node's last, which the node rule fixes
+    #: from its two others; loose edges decide. With no edge at all it is
+    #: `dict.values` of the one solution, {}
+    order: Callable[[dict], Iterable[str]]
 
 
 #: the one moves table of a (reads, project) pattern, kept for the life of
@@ -224,8 +233,11 @@ def _compile(structure: Structure) -> _Layout:
         steps.append((incident, itemgetter(*incident), _moves(reads, tuple(project))))
         free_steps.append(free)
         frontier = live
+    fixed = {max(incident) for incident in edges}  # each node's last edge, in sorted order
+    deciding = [e for e in walk.edges if e not in fixed]
     return _Layout(dict.fromkeys(walk.edges), tuple(steps), tuple(free_steps),
-                   tuple(e for e in walk.edges if e not in touching))
+                   tuple(e for e in walk.edges if e not in touching),
+                   itemgetter(*deciding) if deciding else dict.values)
 
 
 #: the flavors, for a set test of a partial's values
@@ -334,10 +346,12 @@ def complete(structure: Structure, partial: Assignment) -> SolveResult:
     for e in layout.loose:
         if pin[e] is None:  # no step writes a loose edge
             solutions = [{**s, e: f} for s in solutions for f in FLAVORS]
-    # the values run in sorted edge order, so this is the canonical order;
-    # each is a one-character flavor, so the joined string orders as the
-    # tuple of values does, and is cheaper to build and to compare
-    solutions.sort(key=lambda s: "".join(s.values()))
+    # canonical order is by the values in sorted edge order; the first edge
+    # where two solutions differ is a deciding one, so those edges alone
+    # give that order. Each value is a one-character flavor, so the joined
+    # string orders as the tuple of values does, and is cheaper to build
+    order = layout.order
+    solutions.sort(key=lambda s: "".join(order(s)))
     return SolveResult(solutions, explored)
 
 

@@ -146,6 +146,18 @@ def test_solutions_are_fresh_dicts_in_sorted_edge_order(structure, data):
 
 
 @settings(max_examples=60, deadline=None)
+@given(structures(nodes=st.integers(5, 8), loose=st.integers(0, 2)), st.data())
+def test_solutions_strictly_increase_in_full_edge_order_beyond_the_oracle(structure, data):
+    # the sort reads the deciding edges only; the full key must still order every pair strictly
+    partial = data.draw(pins(structure))
+    count = count_completions(structure, partial)
+    assume(count <= 20000)  # unpinned, some reach 10^8 solutions
+    keys = ["".join(solution.values()) for solution in complete(structure, partial).solutions]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert len(keys) == count
+
+
+@settings(max_examples=60, deadline=None)
 @given(scenarios(nodes=st.integers(1, 9)))
 def test_serialization_round_trips_byte_for_byte_on_random_structures(scenario):
     text = serialize_scenario(scenario)

@@ -156,6 +156,34 @@ def test_complete_orders_solutions_canonically():
     assert keys == sorted(keys)
 
 
+CHAIN_THREE_DECIDING = (
+    "c_in", "c_mid.2", "c_mid.3", "h_left.1", "h_left.2", "h_left.3", "l_in.1", "l_in.2", "l_in.3", "r_in.3",
+)
+
+
+@pytest.mark.parametrize(
+    "structure, deciding",
+    [
+        (build_chain(3).structure, CHAIN_THREE_DECIDING),
+        (reverse_time(build_chain(3)).structure, CHAIN_THREE_DECIDING),
+        (lone_production().structure, ("c", "x")),
+        (free_line().structure, ("w",)),  # one name: the getter gives the value itself, a str
+        (Structure({}, {}), ()),
+    ],
+    ids=["chain:3", "reversed chain:3", "lone production", "free line", "empty"],
+)
+def test_the_sort_reads_every_edge_but_each_nodes_last(structure, deciding):
+    order = memo(structure, solver._compile).order
+    assert tuple(order({e: e for e in sorted(structure.edges)})) == deciding
+
+
+def test_complete_sorts_on_the_deciding_edges_without_losing_the_canonical_order():
+    assert complete(Structure({}, {}), {}) == solver.SolveResult([{}], 0)
+    assert ["".join(a.values()) for a in complete(free_line().structure, {}).solutions] == ["A", "B", "C"]
+    lone = complete(lone_production().structure, {}).solutions
+    assert ["".join(a.values()) for a in lone] == ["AAA", "ABC", "ACB", "BAC", "BBB", "BCA", "CAB", "CBA", "CCC"]
+
+
 def test_complete_is_deterministic():
     first = complete(CELL, {"c_in": "A"})
     second = complete(CELL, {"c_in": "A"})
