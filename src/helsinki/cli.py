@@ -462,24 +462,29 @@ def build_parser():
 
 
 def _say(line: str) -> None:
-    """Print one diagnostic line on stderr. A closed or failing stderr loses the line, never the call's exit code;
-    `print` would write to stdout if `sys.stderr` were None."""
+    """Print a diagnostic, one error line or argparse's usage error, on stderr. A closed or failing stderr loses it,
+    never the call's exit code; `print` would write to stdout if `sys.stderr` were None."""
     if sys.stderr is not None:
         with suppress(OSError):
             print(line, file=sys.stderr)
 
 
 def run(argv: list[str]) -> CommandResult:
-    """Dispatch one invocation; structured output on stdout, flushed before the return, diagnostics on
-    stderr. Every error becomes an exit code but a `BrokenPipeError` (the reader went away), which the caller
-    ends; see module docstring for codes."""
+    """Dispatch one invocation; structured output and the help on stdout, flushed before the return,
+    diagnostics and argparse's usage error on stderr, each by the module docstring's rules. Every error becomes an
+    exit code but a `BrokenPipeError` (the reader went away), which the caller ends; see module docstring for
+    codes."""
     try:
         try:
             args = _plain_args(argv) or build_parser().parse_args(argv)
-        except SystemExit as exc:  # argparse has printed help, or a usage error on stderr
-            if sys.stdout is not None:  # else argparse printed the help on stderr
-                sys.stdout.flush()
-            return CommandResult(exc.code if isinstance(exc.code, int) else 2, None)
+        except SystemExit as exc:  # argparse has printed the help, or ends a usage error with its lines
+            if isinstance(exc.code, str):
+                _say(exc.code)
+                return CommandResult(2, None)
+            if sys.stdout is None:  # stdout is closed: the help has no reader, as for a result
+                return CommandResult(1, None)
+            sys.stdout.flush()
+            return CommandResult(exc.code, None)
         try:
             body, exit_code = _COMMANDS[args.command][0](args)
         except (InvalidStructureError, EmptySupportError, OSError, ValueError) as exc:

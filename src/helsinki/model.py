@@ -7,6 +7,8 @@ split one edge into two, annihilation nodes merge two edges into one.
 
 Everything in this module is a pure function over immutable values; the
 fixed flavor order A < B < C is used for all deterministic output ordering.
+The node law is stated once, in `node_admissible`: `annihilation_output`,
+`production_completions` and the solver's node fillings read it.
 The two domain errors, the edge roles and the check of a partial
 assignment live here too, so that the CLI can map the errors to its exit
 codes, and the readers of the cell table can name roles and check pins,
@@ -91,11 +93,11 @@ def annihilation_output(in1: Flavor, in2: Flavor) -> Flavor:
     """The unique flavor completing an admissible node with the two inputs.
 
     Symmetric in its arguments: equal inputs return themselves, distinct
-    inputs return the remaining third flavor.
+    inputs return the remaining third flavor. Raises ValueError for a
+    non-flavor.
     """
-    if in1 == in2:
-        return in1
-    (third,) = set(FLAVORS) - {in1, in2}
+    inputs = (check_flavor(in1), check_flavor(in2))
+    (third,) = (f for f in FLAVORS if node_admissible((*inputs, f)))
     return third
 
 
@@ -105,10 +107,10 @@ def production_completions(value: Flavor) -> list[tuple[Flavor, Flavor]]:
     Exactly three ordered pairs, sorted by (left, right) under A < B < C:
     the homogeneous pair plus both orderings of the two remaining flavors.
     Output order is semantically meaningful; (B, C) and (C, B) are
-    different hidden states downstream.
+    different hidden states downstream. Raises ValueError for a non-flavor.
     """
-    others = [f for f in FLAVORS if f != value]
-    return sorted([(value, value), (others[0], others[1]), (others[1], others[0])])
+    check_flavor(value)
+    return [pair for pair in itertools.product(FLAVORS, repeat=2) if node_admissible((value, *pair))]
 
 
 # --- flavor permutations: the six bijections of A, B, C (the symmetry

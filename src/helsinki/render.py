@@ -75,11 +75,12 @@ def _render_dot(scenario: Scenario, walk: NodeOrder, assignment: Assignment) -> 
         "  rankdir=BT;",
         '  node [fontname="monospace"];',
     ]
-    ids = {}  # node id -> its text in DOT quotes
+    ids = {}  # node id -> its DOT id; one that could read as another node's or a terminal's gets a "node:" prefix
     for nid in sorted(struct.nodes):
         shape = "triangle" if struct.nodes[nid] == PRODUCTION else "invtriangle"
-        name = ids[nid] = _dot(nid)
-        lines.append(f'  "{name}" [shape={shape}, label="{name}\\n{struct.nodes[nid]}"];')
+        name = _dot(nid)
+        ids[nid] = f"node:{name}" if nid.startswith(("node:", "term:")) else name
+        lines.append(f'  "{ids[nid]}" [shape={shape}, label="{name}\\n{struct.nodes[nid]}"];')
     # terminal name -> its DOT id; a valid structure's source terminals are past, its target terminals future
     past = {terminal: "" for (_, _, terminal, _), _ in struct.edges.values() if terminal is not None}
     future = {terminal: "" for _, (_, _, terminal, _) in struct.edges.values() if terminal is not None}

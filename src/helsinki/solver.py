@@ -10,7 +10,8 @@ the test suite holds them to that.
 An assignment is admissible when every node's three incident flavors are
 all equal or all distinct, and no internal edge links two homogeneous
 nodes. The rule is stated twice, once per route: in the engine's moves
-tables, and in `_admits`, which `is_admissible` and the oracle share.
+tables, built from the node fillings `model.node_admissible` accepts, and
+in `_admits`, the reference, which `is_admissible` and the oracle share.
 Solutions are reported in a canonical order: sorted by the tuple of
 flavors read along ascending edge ids. `complete` sorts on the deciding
 edges only, every edge but each node's last in sorted order: all equal

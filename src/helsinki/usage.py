@@ -4,14 +4,15 @@
 this parser, and so loads argparse, only for help, usage errors and every
 other spelling of a command line. The table comes in as an argument: run
 as `python -m helsinki.cli`, the CLI module is `__main__`, and importing
-`helsinki.cli` here would compile it a second time.
+`helsinki.cli` here would compile it a second time. The parser formats the
+help and a usage error; the help is printed as a result is, and `cli.run`
+writes a usage error, both by the CLI's stream rules.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import suppress
 
 
 def _checked(convert):
@@ -25,19 +26,15 @@ def _checked(convert):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, writing as the rest of the CLI does on every Python version (argparse's own rules
-    changed in 3.11.7 and 3.12): the help is written as a result is, so a failed write is the call's error, and a
-    usage error goes to stderr only, where a closed or failing stream loses it and the call keeps exit code 2."""
+    """argparse's parser, whose one write is the help, printed as `cli.run` prints a result (argparse's own rules
+    for writing changed in 3.11.7 and 3.12): a closed stdout takes nothing and a failed write raises. A usage error
+    ends the parse with its lines as the exit message, which `run` writes on stderr."""
 
-    def _print_message(self, message: str, file=None) -> None:
-        if message:
-            (file or sys.stderr).write(message)
+    def print_help(self, file=None) -> None:
+        print(self.format_help(), end="", file=file)
 
     def error(self, message: str):
-        if sys.stderr is not None:  # argparse would print the usage on stdout
-            with suppress(OSError):
-                sys.stderr.write(f"{self.format_usage()}{self.prog}: error: {message}\n")
-        sys.exit(2)
+        sys.exit(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
 def build_parser(commands: dict, outputs: tuple) -> argparse.ArgumentParser:

@@ -766,6 +766,12 @@ def test_a_closed_stdout_ends_as_a_reader_that_went_away():
     assert proc.stderr == b""
 
 
+def test_help_into_a_closed_stdout_ends_as_a_result_does():
+    proc = child(["--help"], subprocess.DEVNULL, closed=1)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
 # a missing file and a usage error: each exits 2 with its line on stderr, and with stdout left empty
 STDERR_CASES = pytest.mark.parametrize(
     "argv", [["solve", "--structure", "MISSING"], ["hidden", "--left", "D", "--center", "A", "--right", "A"]],
@@ -799,6 +805,19 @@ def test_no_stderr_loses_the_error_line_not_the_exit_code(argv, monkeypatch, cap
     monkeypatch.setattr(sys, "stderr", None)
     assert run(missing_file(argv, tmp_path)).exit_code == 2
     assert capsys.readouterr().out == ""
+
+
+@STDERR_CASES
+def test_a_failing_stderr_write_loses_the_error_line_not_the_exit_code(argv, monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(sys, "stderr", RaisingWriter(OSError(28, "No space left on device")))
+    assert run(missing_file(argv, tmp_path)).exit_code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_help_with_no_stdout_has_no_reader(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", None)
+    assert run(["--help"]) == (1, None)
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

@@ -96,3 +96,19 @@ assignments = st.dictionaries(
 def test_apply_permutation_composes(assignment, p, q):
     via_steps = apply_permutation(p, apply_permutation(q, assignment))
     assert via_steps == apply_permutation({f: p[q[f]] for f in FLAVORS}, assignment)
+
+
+def test_the_cell_rules_are_the_node_law_read_over_every_flavor_input():
+    for x, y in itertools.product(FLAVORS, repeat=2):
+        assert [f for f in FLAVORS if node_admissible([x, y, f])] == [annihilation_output(x, y)]
+    for value in FLAVORS:
+        pairs = [(left, right) for left in FLAVORS for right in FLAVORS if node_admissible([value, left, right])]
+        assert production_completions(value) == pairs
+
+
+@pytest.mark.parametrize("bad", ["D", "", "AB", "a", None])
+def test_the_cell_rules_refuse_a_non_flavor(bad):
+    for call in (lambda: production_completions(bad), lambda: annihilation_output(bad, "A"),
+                 lambda: annihilation_output("A", bad), lambda: annihilation_output(bad, bad)):
+        with pytest.raises(ValueError, match="unknown flavor"):
+            call()

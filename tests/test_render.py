@@ -175,3 +175,21 @@ def test_dot_escapes_quotes_and_backslashes_in_every_id():
     quoted = re.findall(r'"((?:[^"\\]|\\.)*)"', dot)
     assert sorted(re.sub(r'\\(["\\])', r"\1", text) for text in quoted) == sorted(expected)
     assert re.sub(r'"(?:[^"\\]|\\.)*"', "", dot).count('"') == 0
+
+
+def test_dot_gives_a_node_named_as_a_terminal_or_as_a_prefixed_node_its_own_vertex():
+    # the cell's production takes the DOT id of the past terminal c_in, and an annihilation that id with "node:"
+    cell = build_h_cell().structure
+    rename = {"prod": "term:past:c_in", "ann_l": "node:term:past:c_in", "ann_r": "ann_r"}
+
+    def moved(ep):
+        return ep if ep.terminal is not None else Endpoint(rename[ep.node], ep.port)
+
+    structure = Structure({rename[nid]: kind for nid, kind in cell.nodes.items()},
+                          {eid: Edge(moved(source), moved(target)) for eid, (source, target) in cell.edges.items()})
+    lines = render(Scenario.derive(structure), None, "graph").splitlines()
+    vertices = [line.split('"')[1] for line in lines if "[shape=" in line]
+    assert len(vertices) == len(set(vertices)) == 8
+    assert '  "node:term:past:c_in" [shape=triangle, label="term:past:c_in\\nproduction"];' in lines
+    assert '  "node:node:term:past:c_in" [shape=invtriangle, label="node:term:past:c_in\\nannihilation"];' in lines
+    assert '  "term:past:c_in" -> "node:term:past:c_in" [label="c_in"];' in lines
