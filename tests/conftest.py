@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from helsinki.model import FLAVORS
+from helsinki.model import FLAVORS, PRODUCTION, annihilation_output, production_completions
 from helsinki.solver import brute_force_complete, has_completion
-from helsinki.structure import build_chain, build_h_cell, intervention_edges
+from helsinki.structure import build_chain, build_h_cell, intervention_edges, node_order
 
 
 @pytest.fixture(scope="session")
@@ -112,6 +112,29 @@ def sweep_by_enumeration():
         return 3 ** len(edges), None
 
     return sweep
+
+
+@pytest.fixture(scope="session")
+def causal_witness():
+    """The completion of a full intervention input that the consistency
+    theorem builds on a valid structure, keys in sorted edge order: nodes in
+    topological order, each production giving its outputs its first
+    inhomogeneous completion and each annihilation the output its inputs
+    force. Each value is read from the node's causal past alone."""
+
+    def witness(structure, inputs):
+        walk = node_order(structure)
+        values = dict(inputs)
+        for node in walk.depth:
+            port = walk.ports[node]
+            if structure.nodes[node] == PRODUCTION:
+                pairs = [(a, b) for a, b in production_completions(values[port["in1"]]) if a != b]
+                values[port["out1"]], values[port["out2"]] = pairs[0]
+            else:
+                values[port["out1"]] = annihilation_output(values[port["in1"]], values[port["in2"]])
+        return {e: values[e] for e in walk.edges}
+
+    return witness
 
 
 @pytest.fixture(scope="session")

@@ -91,11 +91,14 @@ def test_criterion_4_nonlocality_witness():
         assert left_outputs("A") == {"A", "B"}
 
 
-def test_criterion_5_consistency_sweep():
+def test_criterion_5_consistency_sweep(sweep_by_enumeration):
     with criterion(5, "chains of 1..4 cells never strand any input choice", 300.0):
         report = consistency_sweep(4)
         assert report.counterexample is None
         assert report.checked == sum(3 ** (2 * k + 1) for k in range(1, 5))
+        # the sweep reads the theorem; one search per input still tries every choice
+        enumerated = [sweep_by_enumeration(build_chain(k)) for k in range(1, 5)]
+        assert enumerated == [(3 ** (2 * k + 1), None) for k in range(1, 5)]
 
 
 def test_criterion_6_loop_claims():

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import pytest
@@ -22,8 +23,8 @@ from helsinki.analysis import (
     retro_witnesses,
     state_table,
 )
-from helsinki.model import ALL_PERMUTATIONS, FLAVORS, production_completions
-from helsinki.solver import has_completion
+from helsinki.model import ALL_PERMUTATIONS, FLAVORS, PRODUCTION, production_completions
+from helsinki.solver import brute_force_complete, count_completions, has_completion, is_admissible
 from helsinki.structure import INTERVENTION, Scenario, build_chain, build_h_cell, intervention_edges, reverse_time
 
 AA, BC, CB = ("A", "A"), ("B", "C"), ("C", "B")
@@ -338,6 +339,44 @@ def test_consistency_sweep_runs_no_search(monkeypatch):
     monkeypatch.setattr(solver, "_walk", refuse)
     report = consistency_sweep(4)
     assert (report.checked, report.counterexample) == (22140, None)
+
+
+def test_consistency_sweep_runs_no_stranding_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("least_stranding_input ran")
+
+    monkeypatch.setattr(solver, "least_stranding_input", refuse)
+    report = consistency_sweep(40)
+    assert (report.checked, report.counterexample) == (sum(3 ** (2 * k + 1) for k in range(1, 41)), None)
+
+
+def test_the_stranding_search_finds_no_input_of_a_chain_in_either_time_direction():
+    # the consistency theorem's oracle: a chain has the derived roles, so nothing strands
+    for k in range(1, 41):
+        for scenario in (build_chain(k), reverse_time(build_chain(k))):
+            assert solver.least_stranding_input(scenario.structure, {}, intervention_edges(scenario)) is None
+
+
+def test_the_causal_witness_is_a_completion_of_every_chain_input(causal_witness):
+    for scenario in (build_chain(1), build_chain(2), reverse_time(build_chain(1)), reverse_time(build_chain(2))):
+        structure, edges = scenario.structure, intervention_edges(scenario)
+        for combo in itertools.product(FLAVORS, repeat=len(edges)):
+            inputs = dict(zip(edges, combo))
+            witness = causal_witness(structure, inputs)
+            assert is_admissible(structure, witness)
+            assert {e: witness[e] for e in edges} == inputs
+            assert witness in brute_force_complete(structure, inputs)
+
+
+def test_every_chain_input_has_a_completion_per_production_order():
+    # the theorem's corollary: each production may take its two outputs either way round
+    rng = random.Random(31)
+    for k in (1, 2, 5, 20):
+        for scenario in (build_chain(k), reverse_time(build_chain(k))):
+            productions = sum(kind == PRODUCTION for kind in scenario.structure.nodes.values())
+            for _ in range(5):
+                inputs = {e: rng.choice(FLAVORS) for e in intervention_edges(scenario)}
+                assert count_completions(scenario.structure, inputs) >= 2 ** productions
 
 
 def test_consistency_sweep_is_not_bounded_by_enumeration():

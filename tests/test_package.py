@@ -156,6 +156,16 @@ def test_a_plain_cell_call_loads_no_argparse_and_in_text_no_json(argv):
     assert not loaded & ARGPARSE
 
 
+def test_the_consistency_sweep_loads_no_engine_argparse_or_json():
+    loaded = loaded_after("from helsinki import analysis\nassert analysis.consistency_sweep(40).counterexample is None")
+    assert "helsinki.structure" in loaded
+    assert not loaded & {"helsinki.solver", "json"}
+    argv = ["consistency", "--max-cells", "4"]
+    loaded = loaded_after(f"from helsinki import cli\nassert cli.run({argv!r}).exit_code == 0")
+    assert "helsinki.structure" in loaded
+    assert not loaded & {"helsinki.solver", *ARGPARSE, "json"}
+
+
 def run_cli(*argv: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "helsinki.cli", *argv], capture_output=True, text=True, env=env)

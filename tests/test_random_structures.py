@@ -27,6 +27,7 @@ from helsinki.solver import (
     complete,
     count_completions,
     has_completion,
+    is_admissible,
     least_stranding_input,
 )
 from helsinki.structure import (
@@ -40,6 +41,7 @@ from helsinki.structure import (
     ParseError,
     Scenario,
     Structure,
+    intervention_edges,
     parse_scenario,
     reverse_time,
     parse_scenario_document,
@@ -123,6 +125,40 @@ def test_least_stranding_input_matches_enumeration_on_random_structures(structur
     choices = ({**partial, **dict(zip(sorted(free), c))} for c in itertools.product(FLAVORS, repeat=len(free)))
     least = next(({e: c[e] for e in sorted(forall)} for c in choices if not has_completion(structure, c)), None)
     assert least_stranding_input(structure, partial, forall) == least
+
+
+def inputs(scenario):
+    """A full intervention input of the scenario."""
+    return st.fixed_dictionaries({e: st.sampled_from(FLAVORS) for e in intervention_edges(scenario)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios(nodes=st.integers(1, 9), loose=st.integers(0, 2)))
+def test_no_input_strands_a_random_structure_with_its_derived_roles(scenario):
+    # the consistency theorem's oracle, in both time directions
+    for each in (scenario, reverse_time(scenario)):
+        assert least_stranding_input(each.structure, {}, intervention_edges(each)) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios(nodes=st.integers(1, 4), loose=st.integers(0, 2)), st.data())
+def test_the_causal_witness_is_a_completion_on_random_structures(causal_witness, scenario, data):
+    for each in (scenario, reverse_time(scenario)):
+        structure, pins = each.structure, data.draw(inputs(each))
+        witness = causal_witness(structure, pins)
+        assert is_admissible(structure, witness)
+        assert {e: witness[e] for e in pins} == pins
+        # only node outputs are unpinned, at most 8 of them, so the oracle visits at most 3^8 totals
+        assert witness in brute_force_complete(structure, pins)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios(nodes=st.integers(1, 9), loose=st.integers(0, 2)), st.data())
+def test_every_input_has_a_completion_per_production_order_on_random_structures(scenario, data):
+    # the theorem's corollary: each production may take its two outputs either way round
+    for each in (scenario, reverse_time(scenario)):
+        productions = sum(kind == PRODUCTION for kind in each.structure.nodes.values())
+        assert count_completions(each.structure, data.draw(inputs(each))) >= 2 ** productions
 
 
 @settings(max_examples=60, deadline=None)
