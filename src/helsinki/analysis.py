@@ -8,15 +8,16 @@ lists read one scan (`_support_changes`) of the single wing-input changes,
 each with its own support. Here too are the symmetry-class reduction of
 the 27 input triples to 4 and the consistency checks. No choice of
 inputs strands a structure with its derived roles, a theorem proved in
-README's Consistency section, so `consistency_sweep` counts the inputs
-of its chains and searches none. `check_all_inputs` takes any roles: one
-`solver.least_stranding_input` pass decides all of a scenario's inputs at
-once and returns the least counterexample.
+README's Consistency section. `check_all_inputs` reads it for such a
+scenario, so a structure file and the chains of `consistency_sweep` are
+decided without a search. Only relabelled roles can strand, and for them
+one `solver.least_stranding_input` pass decides all of a scenario's
+inputs at once and returns the least counterexample.
 The cell's table (`cell_solutions`) is built straight from the node rules
 in `model`, once per input triple per process, so the cell-level analyses
 here and in `prob` and `loops` load no search engine; the engine is the
 table's oracle in the tests, and the search is the theorem's. Only
-`check_all_inputs` loads it.
+`check_all_inputs` on relabelled roles loads it.
 """
 
 from __future__ import annotations
@@ -234,14 +235,18 @@ def check_all_inputs(scenario: Scenario) -> ConsistencyReport:
 
     Assignments are ranked lexicographically over the sorted edges: the
     counterexample is the least one and `checked` its rank, else all 3^n.
-    One `least_stranding_input` pass decides every input and finds the least.
-    With the derived roles none strands (README, Consistency); relabelled
-    roles can. The report's family is "scenario", for a caller to relabel.
+    With the derived roles none strands (README, Consistency), so all 3^n
+    are checked and no search runs; relabelled roles can strand, and one
+    `least_stranding_input` pass decides every input and finds the least.
+    The report's family is "scenario", for a caller to relabel.
     Raises InvalidStructureError for a structure that does not validate.
     """
-    from .solver import least_stranding_input
-    from .structure import intervention_edges
+    from .structure import Scenario, intervention_edges, node_order
     structure, edges = scenario.structure, intervention_edges(scenario)
+    node_order(structure)  # refuses a structure that does not validate, with its report
+    if scenario.roles == Scenario.derive(structure).roles:
+        return ConsistencyReport("scenario", None, 3 ** len(edges), None)
+    from .solver import least_stranding_input
     inputs = least_stranding_input(structure, {}, edges)
     if inputs is None:
         return ConsistencyReport("scenario", None, 3 ** len(edges), None)
@@ -250,15 +255,10 @@ def check_all_inputs(scenario: Scenario) -> ConsistencyReport:
 
 
 def consistency_sweep(max_cells: int) -> ConsistencyReport:
-    """Count the inputs of the chains of 1..max_cells cells; none strands.
-
-    A chain has the derived roles, so every input has a completion by the
-    consistency theorem (README, Consistency), and the report has every
-    input checked and no counterexample, as `check_all_inputs` would give
-    for each chain. No search runs.
-    """
-    from .structure import build_chain, intervention_edges
+    """Check every input of the chains of 1..max_cells cells, each by
+    `check_all_inputs`: the report sums what each chain checked."""
+    from .structure import build_chain
     if max_cells < 1:
         raise ValueError(f"max_cells must be at least 1, got {max_cells}")
-    checked = sum(3 ** len(intervention_edges(build_chain(k))) for k in range(1, max_cells + 1))
+    checked = sum(check_all_inputs(build_chain(k)).checked for k in range(1, max_cells + 1))
     return ConsistencyReport("chain", max_cells, checked, None)

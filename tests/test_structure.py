@@ -240,6 +240,15 @@ def test_round_trip_with_assignment():
     assert embedded == pins
 
 
+@pytest.mark.parametrize("pins, message", [
+    ({"nope": "Z"}, "assignment mentions unknown edges: nope"),
+    ({"c_in": 1}, "assignment contains non-flavor values: 1"),
+])
+def test_serialize_refuses_an_assignment_no_reader_would_take(pins, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        serialize_scenario(build_h_cell(), pins)
+
+
 def test_parse_reports_json_position():
     with pytest.raises(ParseError, match="line"):
         parse_scenario("{not json")
