@@ -79,8 +79,13 @@ def _parse_assignments(pairs: Optional[list[str]]) -> dict[str, str]:
 
 
 #: the most bytes a structure file may hold, so that a path with no end (`/dev/zero`, an endless pipe) is a
-#: parse error and not a read that fills the memory; chain:2000 is 2.7 MB, so 64 MiB holds about 49 000 cells
+#: parse error and not a read that fills the memory
 _MAX_STRUCTURE_BYTES = 64 << 20
+
+#: the most cells `--builder chain:K` and `--max-cells K` take, so that neither builds or prints without end:
+#: the largest chain whose structure file fits `_MAX_STRUCTURE_BYTES` (chain:48252 serializes to 67 108 455
+#: bytes, chain:48253 to 67 109 852; each cell from 10 000 to 99 999 adds 1 397)
+_MAX_CHAIN_CELLS = 48252
 
 
 def _load_scenario(path: str):
@@ -114,6 +119,8 @@ def _builder(name: str):
             k = _integer(name[len("chain:"):])
         except ValueError:
             raise ValueError(f"--builder chain:K needs an integer, got {name!r}") from None
+        if k > _MAX_CHAIN_CELLS:
+            raise ValueError(f"--builder chain:K takes at most {_MAX_CHAIN_CELLS} cells, got {name!r}")
         return build_chain(k)
     raise ValueError(f"unknown builder {name!r}; expected h-cell or chain:K")
 
@@ -188,6 +195,8 @@ def _cmd_consistency(args):
         report = analysis.check_all_inputs(scenario)._replace(family=f"file:{args.structure}")
     elif args.max_cells < 1:
         raise ValueError(f"--max-cells must be at least 1, got {args.max_cells}")
+    elif args.max_cells > _MAX_CHAIN_CELLS:
+        raise ValueError(f"--max-cells must be at most {_MAX_CHAIN_CELLS}, got {args.max_cells}")
     else:
         report = analysis.consistency_sweep(args.max_cells)
     return report._asdict(), 0  # a file's roles and a chain's are the derived ones, so no input strands

@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 
-from helsinki import analysis, loops, prob, solver
+from helsinki import analysis, loops, prob, solver, structure
 from helsinki.analysis import (
     ALL_INPUT_TRIPLES,
     ConsistencyReport,
@@ -24,6 +24,7 @@ from helsinki.analysis import (
     retro_witnesses,
     state_table,
 )
+from helsinki.cli import run
 from helsinki.model import ALL_PERMUTATIONS, FLAVORS, PRODUCTION, production_completions
 from helsinki.solver import brute_force_complete, count_completions, has_completion, is_admissible
 from helsinki.structure import INTERVENTION, Scenario, build_chain, build_h_cell, intervention_edges, reverse_time
@@ -313,6 +314,24 @@ def test_consistency_sweep_two_cells():
 def test_consistency_sweep_rejects_zero():
     with pytest.raises(ValueError):
         consistency_sweep(0)
+
+
+def test_consistency_sweep_builds_no_chain_and_sums_what_each_chain_checks(monkeypatch):
+    # the oracle: each chain's report from `check_all_inputs`, summed, computed before the builder is patched
+    sums = list(itertools.accumulate(check_all_inputs(build_chain(k)).checked for k in range(1, 41)))
+
+    refuse = mock.Mock(side_effect=AssertionError("a chain was built or walked"))
+    monkeypatch.setattr(structure, "build_chain", refuse)
+    monkeypatch.setattr(structure, "node_order", refuse)
+    for k, checked in enumerate(sums, 1):
+        assert consistency_sweep(k) == ("chain", k, checked, None)
+    result = run(["consistency", "--max-cells", "40"])
+    assert (result.exit_code, result.payload["checked"]) == (0, sums[-1])
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        consistency_sweep(2.0)
+    with pytest.raises(ValueError, match="^max_cells must be at least 1, got 0$"):
+        consistency_sweep(0)
+    refuse.assert_not_called()
 
 
 def test_check_all_inputs_on_cell():

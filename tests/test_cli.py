@@ -191,22 +191,78 @@ def test_consistency_on_a_wide_file_runs_no_search(tmp_path, monkeypatch):
     assert result.payload["counterexample"] is None
 
 
-@pytest.mark.parametrize("output", ["text", "json"])
-def test_consistency_prints_every_digit(monkeypatch, capsys, output):
-    # past the interpreter's default int-to-text limit of 4300 digits
-    huge = 10**5000
+def digits_of(n: int) -> str:
+    """The decimal digits of n, past the interpreter's int-to-text digit limit, which is restored."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def chain_inputs(cells: int) -> int:
+    """The inputs of chain:1..cells, 3^(2k + 1) for chain:k, summed term by term."""
+    checked, term = 0, 27
+    for _ in range(cells):
+        checked, term = checked + term, 9 * term
+    return checked
+
+
+@pytest.mark.parametrize("cells, output", [
+    pytest.param(cells, output, id=f"{label}{output}")
+    for cells, label in ((None, ""), (5000, "5000-cells-"), (cli._MAX_CHAIN_CELLS, "cap-cells-"))
+    for output in ("text", "json")
+])
+def test_consistency_prints_every_digit(monkeypatch, capsys, cells, output):
+    # past the interpreter's default int-to-text limit of 4300 digits: a patched sweep's 10**5000, and the
+    # 4 772 digits of the inputs of 1..5000 stacked cells and the 46 045 of the most cells, counted for real
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    report = analysis.ConsistencyReport("chain", 1, huge, None)
-    monkeypatch.setattr(analysis, "consistency_sweep", lambda max_cells: report)
-    result = run(["--output", output, "consistency", "--max-cells", "1"])
+    if cells is None:
+        report = analysis.ConsistencyReport("chain", 1, 10**5000, None)
+        monkeypatch.setattr(analysis, "consistency_sweep", lambda max_cells: report)
+        digits = "1" + "0" * 5000
+    else:
+        digits = digits_of(chain_inputs(cells))
+        assert len(digits) > 4300
+    result = run(["--output", output, "consistency", "--max-cells", str(cells or 1)])
     assert result.exit_code == 0
     out = capsys.readouterr().out
-    digits = "1" + "0" * 5000
     if output == "json":
         assert json.loads(out, parse_int=str)["checked"] == digits
     else:
         assert out == f"family=chain checked={digits} counterexample=none\n"
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_the_chain_cap_is_the_largest_chain_whose_structure_file_fits_the_byte_cap():
+    # every cell from 10 000 to 99 999 has a five-digit tag, so each adds the same bytes to the file
+    base, next_size, last = (len(serialize_scenario(build_chain(k)).encode()) for k in (10_000, 10_001, 10_002))
+    step = next_size - base
+    assert last - next_size == step
+
+    def fits(k):
+        return base + step * (k - 10_000) <= cli._MAX_STRUCTURE_BYTES
+
+    assert fits(cli._MAX_CHAIN_CELLS) and not fits(cli._MAX_CHAIN_CELLS + 1)
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["render", "--builder", "chain:48253"], "error: --builder chain:K takes at most 48252 cells, got 'chain:48253'"),
+    (["render", "--builder=chain:48253"], "error: --builder chain:K takes at most 48252 cells, got 'chain:48253'"),
+    (["consistency", "--max-cells", "48253"], "error: --max-cells must be at most 48252, got 48253"),
+    (["consistency", "--max-cells=48253"], "error: --max-cells must be at most 48252, got 48253"),
+], ids=["builder", "builder=", "max-cells", "max-cells="])
+def test_a_chain_past_the_cap_is_refused_before_anything_is_built(monkeypatch, capsys, argv, line):
+    assert cli._MAX_CHAIN_CELLS == 48252
+    refuse = mock.Mock(side_effect=AssertionError("built"))
+    monkeypatch.setattr("helsinki.structure.build_chain", refuse)
+    monkeypatch.setattr(analysis, "consistency_sweep", refuse)
+    assert run(argv).exit_code == 2
+    assert capsys.readouterr() == ("", line + "\n")
+    refuse.assert_not_called()
 
 
 # --- loops ---
